@@ -15,7 +15,8 @@ alone, each valid when |f'|^q is convex on [a, b] for its exponent:
 T3 at q = 2 coincides with T2.  Each evaluator also runs the sampled
 convexity check for its hypothesis and reports the verdict alongside the
 bound; a bound is computed even when the hypothesis check fails, since the
-gap/bound comparison is still informative.
+gap/bound comparison is still informative.  evaluate_case gives all three
+reports of one case and shares the gap and the scans between them.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -34,7 +35,6 @@ from .catalog import (
     ConvexityReport,
     FunctionDescriptor,
     Interval,
-    check_convexity,
     check_hypothesis,
 )
 from .errors import InvalidExponent
@@ -143,30 +143,70 @@ def _ratio(gap: float, bound: float) -> float:
 def _report(
     fd: FunctionDescriptor,
     iv: Interval,
-    theorem: str,
-    bound_from_derivs,
-    hyp_q: float,
+    specs,
     tol: float,
     grid_points: int,
-) -> BoundReport:
+) -> list[BoundReport]:
+    """One BoundReport per (theorem, bound_from_derivs, hypothesis-q) spec.
+
+    The endpoint derivatives and the gap are evaluated once, and the
+    hypothesis scan once per distinct q.  ``specs`` is consumed lazily, so a
+    spec built by a generator is validated only after the reports before it
+    are complete, as if each theorem were evaluated on its own.
+    """
     if iv.is_degenerate:
-        return BoundReport(
-            gap=0.0, bound=0.0, ratio=math.nan, theorem=theorem,
-            hypothesis=_TRIVIAL_HYPOTHESIS, holds=True,
-        )
+        return [
+            BoundReport(
+                gap=0.0, bound=0.0, ratio=math.nan, theorem=theorem,
+                hypothesis=_TRIVIAL_HYPOTHESIS, holds=True,
+            )
+            for theorem, _, _ in specs
+        ]
     da = abs(_fderiv(fd, iv.a))
     db = abs(_fderiv(fd, iv.b))
-    bound = bound_from_derivs(iv.width, da, db)
-    gap = midpoint_gap(fd, iv, tol)
-    hypothesis = check_hypothesis(fd, iv, hyp_q, grid_points=grid_points)
-    return BoundReport(
-        gap=gap,
-        bound=bound,
-        ratio=_ratio(gap, bound),
-        theorem=theorem,
-        hypothesis=hypothesis,
-        holds=gap <= bound + HOLDS_SLACK,
-    )
+    gap = None
+    hypotheses: dict[float, ConvexityReport] = {}
+    reports = []
+    for theorem, bound_from_derivs, hyp_q in specs:
+        bound = bound_from_derivs(iv.width, da, db)
+        if gap is None:
+            gap = midpoint_gap(fd, iv, tol)
+        if hyp_q not in hypotheses:
+            hypotheses[hyp_q] = check_hypothesis(fd, iv, hyp_q, grid_points=grid_points)
+        reports.append(BoundReport(
+            gap=gap,
+            bound=bound,
+            ratio=_ratio(gap, bound),
+            theorem=theorem,
+            hypothesis=hypotheses[hyp_q],
+            holds=gap <= bound + HOLDS_SLACK,
+        ))
+    return reports
+
+
+def _theorem2_bound(width, da, db):
+    return width / math.sqrt(6.0) * math.sqrt(0.5 * (da**2 + db**2))
+
+
+def _theorem3_bound(q: float):
+    pair = conjugate_of(q)
+    norm = kernel_p_norm(pair.p)
+
+    def bound(width, da, db):
+        return width * norm * (0.5 * (da**q + db**q)) ** (1.0 / q)
+
+    return bound
+
+
+def _kirmaci_ozdemir_bound(q: float):
+    if not (math.isfinite(q) and q > 1.0):
+        raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
+    factor = 3.0 ** (1.0 - 1.0 / q) / 8.0
+
+    def bound(width, da, db):
+        return factor * width * (da + db)
+
+    return bound
 
 
 def bound_theorem2(
@@ -176,11 +216,7 @@ def bound_theorem2(
     grid_points: int = 257,
 ) -> BoundReport:
     """Quadratic-mean bound on the midpoint gap; hypothesis |f'|^2 convex."""
-
-    def bound(width, da, db):
-        return width / math.sqrt(6.0) * math.sqrt(0.5 * (da**2 + db**2))
-
-    return _report(fd, iv, "T2", bound, 2.0, tol, grid_points)
+    return _report(fd, iv, [("T2", _theorem2_bound, 2.0)], tol, grid_points)[0]
 
 
 def bound_theorem3(
@@ -194,13 +230,7 @@ def bound_theorem3(
 
     At q = 2 this reduces to the quadratic-mean bound of bound_theorem2.
     """
-    pair = conjugate_of(q)
-    norm = kernel_p_norm(pair.p)
-
-    def bound(width, da, db):
-        return width * norm * (0.5 * (da**q + db**q)) ** (1.0 / q)
-
-    return _report(fd, iv, "T3", bound, q, tol, grid_points)
+    return _report(fd, iv, [("T3", _theorem3_bound(q), q)], tol, grid_points)[0]
 
 
 def bound_kirmaci_ozdemir(
@@ -214,14 +244,31 @@ def bound_kirmaci_ozdemir(
 
     The same q feeds both the constant and the convexity hypothesis check.
     """
-    if not (math.isfinite(q) and q > 1.0):
-        raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
-    factor = 3.0 ** (1.0 - 1.0 / q) / 8.0
+    return _report(fd, iv, [("KO", _kirmaci_ozdemir_bound(q), q)], tol, grid_points)[0]
 
-    def bound(width, da, db):
-        return factor * width * (da + db)
 
-    return _report(fd, iv, "KO", bound, q, tol, grid_points)
+def evaluate_case(
+    fd: FunctionDescriptor,
+    iv: Interval,
+    q: float,
+    tol: float = 1e-10,
+    grid_points: int = 257,
+) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """The T2, T3 and KO reports of one case, equal to the three public calls.
+
+    The gap and the endpoint derivatives are evaluated once, and |f'|^q is
+    scanned once per distinct exponent in {2, q}.  Errors are raised in the
+    order of bound_theorem2, bound_theorem3, bound_kirmaci_ozdemir called in
+    turn: an invalid q is reported only after the T2 report succeeds.
+    """
+
+    def specs():
+        yield "T2", _theorem2_bound, 2.0
+        yield "T3", _theorem3_bound(q), q
+        yield "KO", _kirmaci_ozdemir_bound(q), q
+
+    t2, t3, ko = _report(fd, iv, specs(), tol, grid_points)
+    return t2, t3, ko
 
 
 def verify_identity(

@@ -21,6 +21,10 @@ VIOLATED = "violated"
 
 # t-grid for the secant inequality; includes 1/2, the midpoint-convexity case.
 _T_GRID = tuple(k / 8.0 for k in range(1, 8))
+_T_HALF = _T_GRID.index(0.5)
+
+# Largest accepted grid: one scan slice is MAX_GRID_POINTS**2 floats (34 MB).
+MAX_GRID_POINTS = 2049
 
 
 @dataclass(frozen=True)
@@ -202,11 +206,20 @@ def check_convexity(
     identically zero, so they only measure rounding noise.  The verdict flags
     a violation only when the worst secant slack drops below -tol; a pass
     means no counterexample was found among the samples.
+
+    Only the slices t <= 1/2 are evaluated, one grid_points x grid_points
+    slice at a time.  Since 1 - k/8 is exact, the sample (1-t, y, x) is the
+    same float sum as (t, x, y), so the slices t > 1/2 repeat these bit for
+    bit and each of their minimisers has a mirror at an earlier (t, x, y)
+    index: the report (including the first-found witness) is that of the
+    full 7-slice scan.  grid_points is capped at MAX_GRID_POINTS.
     """
     if iv.is_degenerate or iv.a >= iv.b:
         raise ValueError("check_convexity requires a non-degenerate interval")
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
@@ -215,19 +228,21 @@ def check_convexity(
     if not np.all(np.isfinite(gx)):
         raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
 
-    ts = np.asarray(_T_GRID)[:, None, None]
-    mix = ts * xs[None, :, None] + (1.0 - ts) * xs[None, None, :]
-    gmix = eval_elementwise(g, mix)
-    if not np.all(np.isfinite(gmix)):
-        raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
-
-    slack = ts * gx[None, :, None] + (1.0 - ts) * gx[None, None, :] - gmix
     diag = np.arange(grid_points)
-    slack[:, diag, diag] = np.inf
-    k, i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-    min_slack = float(slack[k, i, j])
+    min_slack, best_k, best_flat = math.inf, 0, 0
+    for k, t in enumerate(_T_GRID[: _T_HALF + 1]):
+        mix = t * xs[:, None] + (1.0 - t) * xs[None, :]
+        gmix = eval_elementwise(g, mix)
+        if not np.all(np.isfinite(gmix)):
+            raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
+        slack = t * gx[:, None] + (1.0 - t) * gx[None, :] - gmix
+        slack[diag, diag] = np.inf
+        flat = int(np.argmin(slack))
+        if slack.flat[flat] < min_slack:
+            min_slack, best_k, best_flat = float(slack.flat[flat]), k, flat
+    i, j = divmod(best_flat, grid_points)
     worst = min_slack if min_slack < 0.0 else 0.0
-    witness = (float(xs[i]), float(xs[j]), float(_T_GRID[k]))
+    witness = (float(xs[i]), float(xs[j]), float(_T_GRID[best_k]))
     verdict = VIOLATED if worst < -tol else NO_VIOLATION
     return ConvexityReport(
         verdict=verdict,

@@ -21,17 +21,14 @@ from typing import IO
 
 from . import sampling
 from .bounds import (
+    _TRIVIAL_HYPOTHESIS,
     ORDER_SLACK,
-    bound_kirmaci_ozdemir,
-    bound_theorem2,
-    bound_theorem3,
+    evaluate_case,
     hh_sandwich,
-    midpoint_gap,
     verify_identity,
 )
 from .catalog import (
     NO_VIOLATION,
-    ConvexityReport,
     FunctionDescriptor,
     Interval,
     check_convexity,
@@ -55,8 +52,6 @@ EXIT_BOUND_FAILURE = 1
 EXIT_CONFIG = 2
 
 CSV_COLUMNS = ("case_id", "a", "b", "q", "theorem", "gap", "bound", "ratio", "hypothesis", "holds")
-
-_TRIVIAL = ConvexityReport(NO_VIOLATION, 0.0, None, 0)
 
 
 def _fmt(v) -> str:
@@ -191,13 +186,17 @@ def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
     iv = Interval(args.interval[0], args.interval[1])
     q = args.q
+    t2, t3, ko = evaluate_case(fd, iv, q, args.tol, args.grid_points)
     records = [
-        _bound_record(0, fd, iv, 2.0, bound_theorem2(fd, iv, args.tol, args.grid_points)),
-        _bound_record(0, fd, iv, q, bound_theorem3(fd, iv, q, args.tol, args.grid_points)),
-        _bound_record(0, fd, iv, q, bound_kirmaci_ozdemir(fd, iv, q, args.tol, args.grid_points)),
+        _bound_record(0, fd, iv, 2.0, t2),
+        _bound_record(0, fd, iv, q, t3),
+        _bound_record(0, fd, iv, q, ko),
     ]
     sandwich = hh_sandwich(fd, iv, args.tol)
-    convexity = _TRIVIAL if iv.is_degenerate else check_convexity(fd.eval, iv, args.grid_points)
+    if iv.is_degenerate:
+        convexity = _TRIVIAL_HYPOTHESIS
+    else:
+        convexity = check_convexity(fd.eval, iv, args.grid_points)
     records.append(_sandwich_record(0, fd, iv, sandwich, convexity))
     meta = {
         "command": "verify",
@@ -222,9 +221,7 @@ def cmd_sweep(args) -> int:
     records: list[dict] = []
     for case_id in range(args.cases):
         iv = draw_interval(rng, lo, hi, fd.domain)
-        t2 = bound_theorem2(fd, iv, args.tol, args.grid_points)
-        t3 = bound_theorem3(fd, iv, args.q, args.tol, args.grid_points)
-        ko = bound_kirmaci_ozdemir(fd, iv, args.q, args.tol, args.grid_points)
+        t2, t3, ko = evaluate_case(fd, iv, args.q, args.tol, args.grid_points)
         records.append(_bound_record(case_id, fd, iv, 2.0, t2))
         records.append(_bound_record(case_id, fd, iv, args.q, t3))
         records.append(_bound_record(case_id, fd, iv, args.q, ko))

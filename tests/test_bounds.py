@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhcert import bounds
 from hhcert.bounds import (
     ConjugatePair,
     bound_kirmaci_ozdemir,
     bound_theorem2,
     bound_theorem3,
     conjugate_of,
+    evaluate_case,
     hh_sandwich,
     midpoint_gap,
     verify_identity,
 )
 from hhcert.catalog import Interval, parse_function_id
-from hhcert.errors import InvalidExponent
+from hhcert.errors import InvalidExponent, NonFiniteEvaluation
 
 _UNIT = Interval(0.0, 1.0)
 
@@ -168,6 +170,54 @@ class TestKirmaciOzdemir:
     def test_degenerate_reports_trivially(self):
         rep = bound_kirmaci_ozdemir(parse_function_id("recip"), Interval(2.0, 2.0), q=3.0)
         assert rep.holds and rep.gap == rep.bound == 0.0
+
+
+class TestEvaluateCase:
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "label,a,b",
+        [("pow:3", 0.0, 2.0), ("abs_pow:2.5", -2.0, 2.0), ("ln", 0.5, 3.0), ("exp", 1.0, 1.0)],
+    )
+    def test_matches_public_wrappers(self, label, a, b, q):
+        fd, iv = parse_function_id(label), Interval(a, b)
+        got = evaluate_case(fd, iv, q, 1e-10, 33)
+        want = (
+            bound_theorem2(fd, iv, 1e-10, 33),
+            bound_theorem3(fd, iv, q, 1e-10, 33),
+            bound_kirmaci_ozdemir(fd, iv, q, 1e-10, 33),
+        )
+        # repr distinguishes every float bit pattern, nan included
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("q,scans", [(2.0, [2.0]), (3.0, [2.0, 3.0])])
+    def test_one_gap_and_one_scan_per_exponent(self, monkeypatch, q, scans):
+        hyp_qs, gaps = [], []
+        real_hyp, real_gap = bounds.check_hypothesis, bounds.midpoint_gap
+
+        def counting_hyp(fd, iv, hyp_q, **kwargs):
+            hyp_qs.append(hyp_q)
+            return real_hyp(fd, iv, hyp_q, **kwargs)
+
+        def counting_gap(*args):
+            gaps.append(args)
+            return real_gap(*args)
+
+        monkeypatch.setattr(bounds, "check_hypothesis", counting_hyp)
+        monkeypatch.setattr(bounds, "midpoint_gap", counting_gap)
+        evaluate_case(parse_function_id("pow:3"), _UNIT, q, grid_points=33)
+        assert hyp_qs == scans
+        assert len(gaps) == 1
+
+    def test_errors_in_public_call_order(self):
+        # T2 is evaluated first, so its error wins over an invalid q ...
+        with pytest.raises(NonFiniteEvaluation):
+            evaluate_case(parse_function_id("ln"), Interval(-1.0, 1.0), 0.5)
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            evaluate_case(parse_function_id("exp"), _UNIT, 0.5, grid_points=2)
+        # ... and T3's conjugate check comes before KO's own
+        for iv in (_UNIT, Interval(1.0, 1.0)):
+            with pytest.raises(InvalidExponent, match="conjugate_of"):
+                evaluate_case(parse_function_id("exp"), iv, 1.0)
 
 
 class TestIdentities:

@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hhcert.catalog import (
+    MAX_GRID_POINTS,
     NO_VIOLATION,
     VIOLATED,
+    ConvexityReport,
     Domain,
     Interval,
     check_convexity,
@@ -17,6 +19,7 @@ from hhcert.catalog import (
     lookup_function,
     parse_function_id,
 )
+from hhcert._ufunc import eval_elementwise
 from hhcert.errors import (
     DomainViolation,
     InvalidExponent,
@@ -201,6 +204,107 @@ class TestCheckConvexity:
             lambda x: slope * x + intercept, Interval(-2.0, 2.0), grid_points=33
         )
         assert rep.verdict == NO_VIOLATION
+
+
+def _full_scan(g, iv, grid_points=257, tol=1e-12):
+    """Reference scan: all seven t-slices at once, first argmin of the tensor."""
+    xs = np.linspace(iv.a, iv.b, grid_points)
+    gx = eval_elementwise(g, xs)
+    if not np.all(np.isfinite(gx)):
+        raise DomainViolation("gx")
+    ts = np.array([k / 8.0 for k in range(1, 8)])[:, None, None]
+    mix = ts * xs[None, :, None] + (1.0 - ts) * xs[None, None, :]
+    gmix = eval_elementwise(g, mix)
+    if not np.all(np.isfinite(gmix)):
+        raise DomainViolation("gmix")
+    slack = ts * gx[None, :, None] + (1.0 - ts) * gx[None, None, :] - gmix
+    diag = np.arange(grid_points)
+    slack[:, diag, diag] = np.inf
+    k, i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    min_slack = float(slack[k, i, j])
+    worst = min_slack if min_slack < 0.0 else 0.0
+    return ConvexityReport(
+        verdict=VIOLATED if worst < -tol else NO_VIOLATION,
+        worst_violation=worst,
+        witness=(float(xs[i]), float(xs[j]), float(ts[k, 0, 0])),
+        samples=7 * grid_points * (grid_points - 1),
+    )
+
+
+def _deriv_power(fd, q):
+    def g(x):
+        with np.errstate(all="ignore"):
+            return np.abs(fd.deriv(x)) ** q
+    return g
+
+
+_SCAN_CASES = [
+    ("pow:3", -2.0, 1.5),
+    ("pow:-2", 0.3, 4.0),
+    ("exp", -1.0, 2.0),
+    ("ln", 0.2, 3.0),
+    ("recip", 0.5, 4.0),
+    ("neg_ln", 0.7, 9.0),
+    ("abs_pow:2.5", -2.0, 2.0),
+]
+
+
+class TestScanMatchesFullTensor:
+    """The half-slice scan returns the 7-slice report bit for bit."""
+
+    @staticmethod
+    def _assert_same(g, iv, grid_points):
+        got = check_convexity(g, iv, grid_points=grid_points)
+        ref = _full_scan(g, iv, grid_points=grid_points)
+        assert got == ref
+        assert math.copysign(1.0, got.worst_violation) == math.copysign(1.0, ref.worst_violation)
+
+    @pytest.mark.parametrize("grid_points", [3, 9, 257])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("label,a,b", _SCAN_CASES)
+    def test_deriv_powers(self, label, a, b, q, grid_points):
+        self._assert_same(_deriv_power(parse_function_id(label), q), Interval(a, b), grid_points)
+
+    @pytest.mark.parametrize("grid_points", [3, 9, 257])
+    @pytest.mark.parametrize("label,a,b", _SCAN_CASES)
+    def test_function_values(self, label, a, b, grid_points):
+        # concave entries (ln) violate, so the witness is a real minimiser
+        self._assert_same(parse_function_id(label).eval, Interval(a, b), grid_points)
+
+    @pytest.mark.parametrize("grid_points", [3, 9, 257])
+    @pytest.mark.parametrize(
+        "g", [lambda x: 0.0 * x, lambda x: 3.0 * x + 1.0, lambda x: -0.1 * x + 7.0],
+        ids=["zero", "affine", "affine-neg"],
+    )
+    def test_all_ties(self, g, grid_points):
+        self._assert_same(g, Interval(-5.0, 5.0), grid_points)
+
+    @pytest.mark.parametrize("grid_points", [3, 9, 257])
+    def test_worst_at_midpoint_slice(self, grid_points):
+        # -x^2 has slack -t(1-t)(x-y)^2, lowest on the t = 1/2 slice
+        self._assert_same(lambda x: -(x * x), Interval(-1.0, 2.0), grid_points)
+
+    def test_scalar_only_callable(self):
+        self._assert_same(lambda x: math.exp(float(x)), Interval(0.0, 1.0), 17)
+
+    def test_domain_violation_parity(self):
+        with pytest.raises(DomainViolation):
+            _full_scan(np.log, Interval(-1.0, 1.0))
+        with pytest.raises(DomainViolation):
+            check_convexity(np.log, Interval(-1.0, 1.0))
+
+
+class TestGridCap:
+    def test_above_cap_rejected_before_evaluation(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x
+
+        with pytest.raises(ValueError, match=f"<= {MAX_GRID_POINTS}"):
+            check_convexity(g, Interval(0.0, 1.0), grid_points=MAX_GRID_POINTS + 1)
+        assert calls == []
 
 
 class TestCheckHypothesis:

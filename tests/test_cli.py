@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from hhcert import cli
+from hhcert.catalog import MAX_GRID_POINTS
 
 _SCHEMA_KEYS = [
     "case_id", "function", "a", "b", "q", "theorem",
@@ -268,6 +270,27 @@ class TestMeans:
         code = cli.main(["means", "--a", "-1", "--b", "2"])
         capsys.readouterr()
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fn", "exp", "--interval", "0", "1"],
+        ["sweep", "--fn", "exp", "--cases", "2"],
+    ],
+)
+def test_grid_above_cap_exits_2_before_allocating(capsys, argv):
+    # one slice at the rejected size would take 2050**2 * 8 bytes = 34 MB
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--grid-points", str(MAX_GRID_POINTS + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: grid_points must be <= {MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}\n"
+    assert peak < 4_000_000
 
 
 def test_missing_subcommand_is_usage_error():

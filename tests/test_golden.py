@@ -1,0 +1,71 @@
+"""Byte-for-byte `sweep` and `verify` output against checked-in goldens.
+
+Each case's stdout is stored in ``tests/golden/<name>.<format>`` and its exit
+status in ``_CASES``.  A change that alters any printed byte must say so in
+CHANGES.md and regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from hhcert import cli
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
+
+# name -> (argv without --format, exit status)
+_CASES = {
+    "verify_pow3_q2": (["verify", "--fn", "pow:3", "--interval", "0", "2"], 0),
+    "verify_pow3_q3": (["verify", "--fn", "pow:3", "--interval", "0", "2", "--q", "3"], 0),
+    "verify_abs_pow_q2": (["verify", "--fn", "abs_pow:2.5", "--interval", "-2", "2"], 0),
+    "verify_abs_pow_q3": (
+        ["verify", "--fn", "abs_pow:2.5", "--interval", "-2", "2", "--q", "3"], 0),
+    "verify_ln_q2": (["verify", "--fn", "ln", "--interval", "0.5", "3"], 0),
+    "verify_ln_q3": (["verify", "--fn", "ln", "--interval", "0.5", "3", "--q", "3"], 0),
+    "verify_degenerate_q3": (["verify", "--fn", "pow:3", "--interval", "1", "1", "--q", "3"], 0),
+    "sweep_pow3_q2": (
+        ["sweep", "--fn", "pow:3", "--cases", "4", "--seed", "11",
+         "--interval-range", "0", "2"], 0),
+    "sweep_pow3_q3": (
+        ["sweep", "--fn", "pow:3", "--cases", "4", "--seed", "11",
+         "--interval-range", "0", "2", "--q", "3"], 0),
+    "sweep_abs_pow_q2": (
+        ["sweep", "--fn", "abs_pow:2.5", "--cases", "4", "--seed", "12",
+         "--interval-range", "-2", "2"], 0),
+    "sweep_abs_pow_q3_grid9": (
+        ["sweep", "--fn", "abs_pow:2.5", "--cases", "6", "--seed", "12",
+         "--interval-range", "-2", "2", "--q", "3", "--grid-points", "9"], 0),
+    "sweep_ln_q2": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13"], 0),
+    "sweep_ln_q3": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13", "--q", "3"], 0),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_output_matches_golden(name, fmt):
+    argv, status = _CASES[name]
+    code, out = _run(argv + ["--format", fmt])
+    golden = (GOLDEN_DIR / f"{name}.{FORMATS[fmt]}").read_bytes()
+    assert code == status
+    assert out.encode() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, (argv, _) in sorted(_CASES.items()):
+        for fmt, ext in FORMATS.items():
+            code, out = _run(argv + ["--format", fmt])
+            (GOLDEN_DIR / f"{name}.{ext}").write_bytes(out.encode())
+            print(f"{name}.{ext}: exit {code}")
