@@ -271,6 +271,26 @@ def evaluate_case(
     return t2, t3, ko
 
 
+def _lemma2_integrand(fd: FunctionDescriptor, x_of):
+    """(f'(x(t)) - f'(x(s))) (m(s) - m(t)), the Lemma 2 integrand for integrate_2d.
+
+    integrate_2d passes s as a column with one outer node per row.  f'(x(s))
+    is taken one Python float per node, as a lone node would get it, since
+    fd.deriv can round differently on arrays.
+    """
+
+    def integrand(t, s):
+        if np.ndim(s):
+            nodes, row_node = np.unique(s, return_inverse=True)
+            ds = np.array([fd.deriv(x_of(v)) for v in nodes.tolist()])
+            ds = ds[row_node].reshape(np.shape(s))
+        else:
+            ds = fd.deriv(x_of(s))
+        return (fd.deriv(x_of(t)) - ds) * (kernel_m(s) - kernel_m(t))
+
+    return integrand
+
+
 def verify_identity(
     lemma: str,
     fd: FunctionDescriptor,
@@ -304,10 +324,9 @@ def verify_identity(
     elif lemma == "L2":
         lhs = _feval(fd, mid) - mean
 
-        def integrand(t, s):
-            return (fd.deriv(x_of(t)) - fd.deriv(x_of(s))) * (kernel_m(s) - kernel_m(t))
-
-        dbl = integrate_2d(integrand, tol, breakpoints_t=(0.5,), breakpoints_s=(0.5,))
+        dbl = integrate_2d(
+            _lemma2_integrand(fd, x_of), tol, breakpoints_t=(0.5,), breakpoints_s=(0.5,)
+        )
         rhs = 0.5 * iv.width * dbl.value
     else:
         raise ValueError(f"lemma must be 'L1' or 'L2', got {lemma!r}")

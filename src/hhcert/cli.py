@@ -3,7 +3,8 @@
 Exit status is 0 when every evaluated check with a satisfied hypothesis
 holds, 1 when some bound with a satisfied hypothesis fails, and 2 for
 configuration errors (unknown function, invalid parameters or exponents,
-malformed intervals, evaluation outside a domain).
+malformed intervals, evaluation outside a domain) and for inputs whose
+arithmetic leaves the float range (a division by zero or an overflow).
 
 Machine formats emit every number with 17 significant digits and a '.'
 decimal point regardless of locale.  Sweep output is byte-identical across
@@ -438,7 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HHCertError, ValueError) as exc:
+    except (HHCertError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

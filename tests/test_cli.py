@@ -319,3 +319,32 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout.endswith("\n")
     assert "closed_form" in proc.stdout
+
+
+# inputs whose arithmetic leaves the float range: a division by zero at a
+# domain edge, or an overflow
+_ARITHMETIC_ERROR_ARGV = [
+    ["verify", "--fn", "ln", "--interval", "0", "1"],
+    ["verify", "--fn", "recip", "--interval", "0", "1"],
+    ["verify", "--fn", "pow:-1", "--interval", "0", "1"],
+    ["identity", "--lemma", "1", "--fn", "recip", "--interval", "-1", "1"],
+    ["identity", "--lemma", "2", "--fn", "recip", "--interval", "-1", "1"],
+    ["means", "--a", "1", "--b", "1e10", "--p", "400"],
+    ["means", "--a", "1", "--b", "1e200", "--n", "5"],
+    ["verify", "--fn", "pow:-1", "--interval", "1e-300", "1"],
+    ["kernel", "--p", "1e6"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARITHMETIC_ERROR_ARGV, ids=" ".join)
+def test_arithmetic_error_exits_2_without_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhcert", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Byte-for-byte `sweep` and `verify` output against checked-in goldens.
+"""Byte-for-byte CLI output of every subcommand against checked-in goldens.
 
 Each case's stdout is stored in ``tests/golden/<name>.<format>`` and its exit
 status in ``_CASES``.  A change that alters any printed byte must say so in
@@ -42,6 +42,27 @@ _CASES = {
          "--interval-range", "-2", "2", "--q", "3", "--grid-points", "9"], 0),
     "sweep_ln_q2": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13"], 0),
     "sweep_ln_q3": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13", "--q", "3"], 0),
+    "kernel_p1.1": (["kernel", "--p", "1.1"], 0),
+    "kernel_p1.5": (["kernel", "--p", "1.5"], 0),
+    "kernel_p2": (["kernel", "--p", "2"], 0),
+    "kernel_p3": (["kernel", "--p", "3"], 0),
+    "identity_L1_abs_pow": (
+        ["identity", "--lemma", "1", "--fn", "abs_pow:2.5", "--interval", "-1", "2"], 0),
+    "identity_L2_abs_pow": (
+        ["identity", "--lemma", "2", "--fn", "abs_pow:2.5", "--interval", "-1", "2"], 0),
+    "identity_L1_recip": (
+        ["identity", "--lemma", "1", "--fn", "recip", "--interval", "0.5", "3"], 0),
+    "identity_L2_recip": (
+        ["identity", "--lemma", "2", "--fn", "recip", "--interval", "0.5", "3"], 0),
+    "identity_L1_pow3": (
+        ["identity", "--lemma", "1", "--fn", "pow:3", "--interval", "-1", "2"], 0),
+    "identity_L2_pow3": (
+        ["identity", "--lemma", "2", "--fn", "pow:3", "--interval", "-1", "2"], 0),
+    "identity_L1_exp": (["identity", "--lemma", "1", "--fn", "exp", "--interval", "-1", "2"], 0),
+    "identity_L2_exp": (["identity", "--lemma", "2", "--fn", "exp", "--interval", "-1", "2"], 0),
+    "means_1_2": (["means", "--a", "1", "--b", "2"], 0),
+    "means_half_4_p3_n-1": (
+        ["means", "--a", "0.5", "--b", "4", "--p", "3", "--n", "-1", "--q", "3"], 0),
 }
 
 

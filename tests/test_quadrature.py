@@ -1,14 +1,18 @@
 """Adaptive Gauss-Kronrod integration, 1D and iterated 2D."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhcert.catalog import Interval
+from hhcert import quadrature
+from hhcert.bounds import _lemma2_integrand
+from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import NonFiniteEvaluation
+from hhcert.kernel import kernel_m
 from hhcert.quadrature import QuadratureResult, integrate_1d, integrate_2d
 
 
@@ -136,6 +140,13 @@ def test_linearity_property(alpha, beta):
     assert mixed.value == pytest.approx(alpha * ex.value + beta * ln.value, abs=1e-9)
 
 
+def _scalar_only(t, s):
+    # (m(t) - m(s))^2 through Python comparisons, so arrays raise
+    mt = t if t <= 0.5 else t - 1.0
+    ms = s if s <= 0.5 else s - 1.0
+    return (mt - ms) ** 2
+
+
 class TestIterated2D:
     def test_separable_product(self):
         res = integrate_2d(lambda t, s: t * s, tol=1e-10)
@@ -157,12 +168,7 @@ class TestIterated2D:
         assert res.value == pytest.approx(1.0 / 3.0, abs=5e-7)
 
     def test_breakpoints_forwarded(self):
-        def g(t, s):
-            mt = t if t <= 0.5 else t - 1.0
-            ms = s if s <= 0.5 else s - 1.0
-            return (mt - ms) ** 2
-
-        res = integrate_2d(g, tol=1e-10, breakpoints_t=(0.5,), breakpoints_s=(0.5,))
+        res = integrate_2d(_scalar_only, tol=1e-10, breakpoints_t=(0.5,), breakpoints_s=(0.5,))
         assert res.converged
         assert res.error_estimate <= 1e-10
         assert res.value == pytest.approx(1.0 / 6.0, abs=1e-10)
@@ -170,3 +176,146 @@ class TestIterated2D:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             integrate_2d(lambda t, s: t + s, tol=-1.0)
+
+
+def _sequential_integrate_2d(g, tol=1e-10, breakpoints_t=(), breakpoints_s=()):
+    """integrate_2d one outer node at a time: a full integrate_1d per node, in order.
+
+    This is the iterated integral the batched inner integrals must repeat
+    bit for bit, kept as the reference.
+    """
+    inner_tol = tol / 10.0
+    state = {"max_err": 0.0, "max_sub": 0, "converged": True}
+
+    def outer_integrand(s):
+        if np.ndim(s) != 0:
+            raise TypeError("outer integrand is scalar-only")
+        s = float(s)
+        res = integrate_1d(lambda t: g(t, s), Interval(0.0, 1.0), inner_tol, breakpoints_t)
+        state["max_err"] = max(state["max_err"], res.error_estimate)
+        state["max_sub"] = max(state["max_sub"], res.subdivisions)
+        state["converged"] = state["converged"] and res.converged
+        return res.value
+
+    outer = integrate_1d(outer_integrand, Interval(0.0, 1.0), 0.9 * tol, breakpoints_s)
+    error = outer.error_estimate + state["max_err"]
+    return QuadratureResult(
+        value=outer.value,
+        error_estimate=error,
+        subdivisions=max(outer.subdivisions, state["max_sub"]),
+        converged=outer.converged and state["converged"] and error <= tol,
+    )
+
+
+def _bits(res):
+    return (float.hex(res.value), float.hex(res.error_estimate), res.subdivisions, res.converged)
+
+
+def _kernel_integrand(p):
+    return lambda t, s: abs(kernel_m(t) - kernel_m(s)) ** p
+
+
+def _lemma2(fn, a, b):
+    return _lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b)
+
+
+_SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints_t": (0.5,), "breakpoints_s": (0.5,)}
+
+
+class TestBatchedInnerIntegrals:
+    """integrate_2d against the one-node-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "g,kwargs",
+        [
+            pytest.param(_kernel_integrand(1.1), _SPLIT_AT_HALF, id="kernel-p1.1"),
+            pytest.param(_kernel_integrand(1.5), _SPLIT_AT_HALF, id="kernel-p1.5"),
+            pytest.param(_kernel_integrand(2.0), _SPLIT_AT_HALF, id="kernel-p2"),
+            pytest.param(_kernel_integrand(3.0), _SPLIT_AT_HALF, id="kernel-p3"),
+            pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7), _SPLIT_AT_HALF, id="L2-abs_pow"),
+            pytest.param(_lemma2("recip", 0.15, 0.9), _SPLIT_AT_HALF, id="L2-recip"),
+            pytest.param(_lemma2("pow:3", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-pow3"),
+            pytest.param(_lemma2("exp", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-exp"),
+            pytest.param(_lemma2("pow:-1", 0.5, 3.0), _SPLIT_AT_HALF, id="L2-pow-1"),
+            pytest.param(_lemma2("pow:-2", 1.0, 3.0), _SPLIT_AT_HALF, id="L2-pow-2"),
+            pytest.param(lambda t, s: t * s, {"tol": 1e-10}, id="t*s"),
+            pytest.param(lambda t, s: 1.0, {"tol": 1e-10}, id="constant"),
+            pytest.param(lambda t, s: abs(t - s), {"tol": 1e-7}, id="abs-diff"),
+            pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
+        ],
+    )
+    def test_matches_one_node_at_a_time(self, g, kwargs):
+        assert _bits(integrate_2d(g, **kwargs)) == _bits(_sequential_integrate_2d(g, **kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 1e-323},  # tol/10 of the inner integrals rounds to 0
+            {"tol": 1e-10, "breakpoints_t": (2.0,), "breakpoints_s": (-1.0,)},
+            {"tol": 1e-10, "breakpoints_t": (2.0,)},
+        ],
+    )
+    def test_rejects_arguments_as_one_node_at_a_time(self, kwargs):
+        with pytest.raises(ValueError) as batched:
+            integrate_2d(lambda t, s: t * s, **kwargs)
+        with pytest.raises(ValueError) as sequential:
+            _sequential_integrate_2d(lambda t, s: t * s, **kwargs)
+        assert str(batched.value) == str(sequential.value)
+
+    def test_matches_when_groups_split_at_the_panel_cap(self, monkeypatch):
+        # a cap of 64 panels chunks the outer nodes and splits groups that grow
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+        g = _kernel_integrand(1.5)
+        assert _bits(integrate_2d(g, **_SPLIT_AT_HALF)) == _bits(
+            _sequential_integrate_2d(g, **_SPLIT_AT_HALF)
+        )
+
+    def test_nonfinite_reports_the_lowest_failing_outer_node(self):
+        # outer node 2 hits NaN at t = 1/16, reached only in round 3 of its
+        # inner integral; outer node 10 hits NaN at t = 1/2 in round 0
+        s_nodes = 0.5 + 0.5 * quadrature._XK
+
+        def g(t, s):
+            bad = ((s == s_nodes[2]) & (t == 0.0625)) | ((s == s_nodes[10]) & (t == 0.5))
+            return np.where(bad, np.nan, np.sqrt(t) + s)
+
+        with pytest.raises(NonFiniteEvaluation) as batched:
+            integrate_2d(g, tol=1e-10)
+        with pytest.raises(NonFiniteEvaluation) as sequential:
+            _sequential_integrate_2d(g, tol=1e-10)
+        assert str(batched.value) == str(sequential.value)
+        assert "x=np.float64(0.0625)" in str(batched.value)
+
+    def test_integrand_exception_propagates_unchanged(self):
+        class Boom(Exception):
+            pass
+
+        def g(t, s):
+            if np.any(np.asarray(s) > 0.6):
+                raise Boom(f"no value beyond s=0.6, asked for {float(np.max(s))!r}")
+            return np.sqrt(t) + s
+
+        with pytest.raises(Boom) as batched:
+            integrate_2d(g, tol=1e-10)
+        with pytest.raises(Boom) as sequential:
+            _sequential_integrate_2d(g, tol=1e-10)
+        assert str(batched.value) == str(sequential.value)
+
+    def test_peak_memory_near_sequential_on_a_rough_integrand(self, monkeypatch):
+        # every panel wider than the wiggles is rejected, so each inner
+        # integral refines until its next level would exceed _MAX_PANELS
+        # (lowered from 65536 to keep the test fast; the peaks scale with it)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 4096)
+
+        def g(t, s):
+            return np.abs(np.sin(1e6 * t)) + 0.0 * s
+
+        peaks = []
+        for integrate in (_sequential_integrate_2d, integrate_2d):
+            tracemalloc.start()
+            res = integrate(g, tol=1e-12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert not res.converged
+            assert res.subdivisions == 12
+        assert peaks[1] <= 2.0 * peaks[0]
