@@ -36,6 +36,7 @@ from .catalog import (
     FunctionDescriptor,
     Interval,
     check_hypothesis,
+    require_domain,
 )
 from .errors import InvalidExponent
 from .kernel import kernel_m, kernel_p_norm
@@ -122,8 +123,9 @@ def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> San
 
     The ordering holds for convex fd; each comparison is allowed ORDER_SLACK
     of numerical slack.  On a degenerate interval all three values equal
-    fd.eval(a) and the report is ordered.
+    fd.eval(a) and the report is ordered.  iv must lie inside fd's domain.
     """
+    require_domain(fd, iv)
     if iv.is_degenerate:
         v = _feval(fd, iv.a)
         return SandwichReport(lower=v, middle=v, upper=v, ordered=True)
@@ -152,8 +154,10 @@ def _report(
     The endpoint derivatives and the gap are evaluated once, and the
     hypothesis scan once per distinct q.  ``specs`` is consumed lazily, so a
     spec built by a generator is validated only after the reports before it
-    are complete, as if each theorem were evaluated on its own.
+    are complete, as if each theorem were evaluated on its own.  The domain
+    is checked first, before any evaluation.
     """
+    require_domain(fd, iv)
     if iv.is_degenerate:
         return [
             BoundReport(

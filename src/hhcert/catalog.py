@@ -252,6 +252,12 @@ def check_convexity(
     )
 
 
+def require_domain(fd: FunctionDescriptor, iv: Interval) -> None:
+    """Raise DomainViolation unless iv lies inside the open domain of fd."""
+    if not fd.domain.contains_interval(iv):
+        raise DomainViolation(f"[{iv.a}, {iv.b}] is not inside the domain of {fd.label}")
+
+
 def check_hypothesis(
     fd: FunctionDescriptor,
     iv: Interval,
@@ -262,10 +268,7 @@ def check_hypothesis(
     """Check convexity of |f'|^q on iv for a catalog function f."""
     if not (math.isfinite(q) and q >= 1.0):
         raise InvalidExponent(f"hypothesis exponent requires q >= 1, got q={q}")
-    if not fd.domain.contains_interval(iv):
-        raise DomainViolation(
-            f"[{iv.a}, {iv.b}] is not inside the domain of {fd.label}"
-        )
+    require_domain(fd, iv)
 
     def power_of_deriv(x):
         with np.errstate(all="ignore"):

@@ -18,12 +18,12 @@ import argparse
 import json
 import math
 import sys
-from typing import IO
 
 from . import sampling
 from .bounds import (
     _TRIVIAL_HYPOTHESIS,
     ORDER_SLACK,
+    BoundReport,
     evaluate_case,
     hh_sandwich,
     verify_identity,
@@ -53,6 +53,8 @@ EXIT_BOUND_FAILURE = 1
 EXIT_CONFIG = 2
 
 CSV_COLUMNS = ("case_id", "a", "b", "q", "theorem", "gap", "bound", "ratio", "hypothesis", "holds")
+_BOUND_TEXT = ("case_id", "gap", "bound", "ratio", "holds", "hypothesis")
+_MEANS_COLUMNS = ("item", "value", "lhs", "rhs", "variant", "holds")
 
 
 def _fmt(v) -> str:
@@ -71,53 +73,55 @@ def _fmt(v) -> str:
 
 
 def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "null"
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return f"{v:.17g}"
-    if isinstance(v, int):
-        return str(v)
+    """Render one value as JSON: as _fmt, but nan is null and infinities are strings."""
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_scalar(x) for x in v) + "]"
-    return json.dumps(v)
+    if v is None or isinstance(v, float) and math.isnan(v):
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    return f'"{_fmt(v)}"' if isinstance(v, float) and math.isinf(v) else _fmt(v)
 
 
-def _write_json(out: IO[str], meta: dict, records: list[dict]) -> None:
-    out.write("{\n")
-    for key, val in meta.items():
-        out.write(f'  "{key}": {_json_scalar(val)},\n')
-    out.write('  "records": [\n')
-    for i, rec in enumerate(records):
-        body = ", ".join(f'"{k}": {_json_scalar(v)}' for k, v in rec.items())
-        comma = "," if i + 1 < len(records) else ""
-        out.write(f"    {{{body}}}{comma}\n")
-    out.write("  ]\n}\n")
+def _column(rec: dict, name: str):
+    """The value of a CSV/text column; the "hypothesis" column reads hypothesis_verdict."""
+    return rec.get("hypothesis_verdict" if name == "hypothesis" else name)
 
 
-def _write_csv(out: IO[str], comment: str | None, records: list[dict]) -> None:
-    if comment:
-        out.write(f"# {comment}\n")
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in records:
-        out.write(",".join(_fmt(rec.get(col)) for col in CSV_COLUMNS) + "\n")
+def _line(rec: dict, label: str, columns) -> str:
+    """One text line: rec[label], then name=value for each column."""
+    return "  ".join([f"{rec[label]:2s}", *(f"{c}={_fmt(_column(rec, c))}" for c in columns)])
 
 
-def _write_text(out: IO[str], headline: str, records: list[dict]) -> None:
-    out.write(headline + "\n")
-    for rec in records:
-        parts = [f"{rec['theorem']:2s}"] if "theorem" in rec else []
-        for key in ("case_id", "gap", "bound", "ratio", "holds"):
-            if key in rec:
-                parts.append(f"{key}={_fmt(rec[key])}")
-        if "hypothesis_verdict" in rec:
-            parts.append(f"hypothesis={rec['hypothesis_verdict']}")
-        out.write("  " + "  ".join(parts) + "\n")
+def _emit(args, meta: dict, records, columns, headline: str, lines) -> None:
+    """Write one result to stdout in args.format.
+
+    JSON is ``meta`` plus a "records" list unless records is None.  CSV is a
+    header of ``columns`` and one row per record, a missing key printing
+    empty; a bound table (CSV_COLUMNS) is preceded by ``meta`` as a "# k=v"
+    comment, and a result without records is one row of meta minus
+    "command".  Text is the headline followed by each of ``lines`` indented.
+    """
+    if args.format == "json":
+        fields = [f'  "{k}": {_json_scalar(v)}' for k, v in meta.items()]
+        if records is not None:
+            rows = ",\n".join(
+                "    {" + ", ".join(f'"{k}": {_json_scalar(v)}' for k, v in rec.items()) + "}"
+                for rec in records
+            )
+            fields.append('  "records": [\n' + (rows + "\n" if rows else "") + "  ]")
+        sys.stdout.write("{\n" + ",\n".join(fields) + "\n}\n")
+    elif args.format == "csv":
+        if records is None:
+            records = [{k: v for k, v in meta.items() if k != "command"}]
+            columns = tuple(records[0])
+        elif columns == CSV_COLUMNS:
+            sys.stdout.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items()) + "\n")
+        sys.stdout.write(",".join(columns) + "\n")
+        for rec in records:
+            sys.stdout.write(",".join(_fmt(_column(rec, c)) for c in columns) + "\n")
+    else:
+        sys.stdout.write(headline + "\n" + "".join(f"  {line}\n" for line in lines))
 
 
 def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, q, report) -> dict:
@@ -131,38 +135,22 @@ def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, q, report)
         "gap": report.gap,
         "bound": report.bound,
         "ratio": report.ratio,
-        "hypothesis": report.hypothesis.verdict,
         "hypothesis_verdict": report.hypothesis.verdict,
         "holds": report.holds,
     }
 
 
-def _sandwich_record(case_id: int, fd: FunctionDescriptor, iv: Interval, sandwich, convexity) -> dict:
-    # The sandwich maps onto the bound schema as: gap = worst ordering
-    # violation (clamped at 0), bound = the ordering slack, so that
-    # holds == (gap <= bound) exactly reproduces `ordered`.
-    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
-    return {
-        "case_id": case_id,
-        "function": fd.label,
-        "a": iv.a,
-        "b": iv.b,
-        "q": None,
-        "theorem": "HH",
-        "gap": gap,
-        "bound": ORDER_SLACK,
-        "ratio": gap / ORDER_SLACK,
-        "hypothesis": convexity.verdict,
-        "hypothesis_verdict": convexity.verdict,
-        "holds": sandwich.ordered,
-    }
+def _case_records(case_id: int, fd: FunctionDescriptor, iv: Interval, args) -> list[dict]:
+    t2, t3, ko = evaluate_case(fd, iv, args.q, args.tol, args.grid_points)
+    return [
+        _bound_record(case_id, fd, iv, 2.0, t2),
+        _bound_record(case_id, fd, iv, args.q, t3),
+        _bound_record(case_id, fd, iv, args.q, ko),
+    ]
 
 
-def _strip_internal(rec: dict) -> dict:
-    """Project a record onto the JSON schema (drop the CSV alias column)."""
-    keys = ("case_id", "function", "a", "b", "q", "theorem", "gap", "bound",
-            "ratio", "hypothesis_verdict", "holds")
-    return {k: rec[k] for k in keys}
+def _bound_lines(records: list[dict]):
+    return (_line(rec, "theorem", _BOUND_TEXT) for rec in records)
 
 
 def _exit_from_records(records: list[dict]) -> int:
@@ -172,46 +160,35 @@ def _exit_from_records(records: list[dict]) -> int:
     return EXIT_OK
 
 
-def _emit(args, meta: dict, records: list[dict], headline: str) -> None:
-    out = sys.stdout
-    if args.format == "json":
-        _write_json(out, meta, [_strip_internal(r) for r in records])
-    elif args.format == "csv":
-        comment = " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
-        _write_csv(out, comment, records)
-    else:
-        _write_text(out, headline, records)
-
-
 def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
     iv = Interval(args.interval[0], args.interval[1])
-    q = args.q
-    t2, t3, ko = evaluate_case(fd, iv, q, args.tol, args.grid_points)
-    records = [
-        _bound_record(0, fd, iv, 2.0, t2),
-        _bound_record(0, fd, iv, q, t3),
-        _bound_record(0, fd, iv, q, ko),
-    ]
+    records = _case_records(0, fd, iv, args)
     sandwich = hh_sandwich(fd, iv, args.tol)
     if iv.is_degenerate:
         convexity = _TRIVIAL_HYPOTHESIS
     else:
         convexity = check_convexity(fd.eval, iv, args.grid_points)
-    records.append(_sandwich_record(0, fd, iv, sandwich, convexity))
+    # The sandwich maps onto the bound schema as: gap = worst ordering
+    # violation (clamped at 0), bound = the ordering slack, so that
+    # holds == (gap <= bound) exactly reproduces `ordered`.
+    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
+    hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH",
+                     hypothesis=convexity, holds=sandwich.ordered)
+    records.append(_bound_record(0, fd, iv, None, hh))
     meta = {
         "command": "verify",
         "function": fd.label,
         "interval": [iv.a, iv.b],
-        "q": q,
+        "q": args.q,
         "tol": args.tol,
     }
     headline = (
-        f"verify {fd.label} on [{_fmt(iv.a)}, {_fmt(iv.b)}] q={_fmt(q)} "
+        f"verify {fd.label} on [{_fmt(iv.a)}, {_fmt(iv.b)}] q={_fmt(args.q)} "
         f"(sandwich: lower={_fmt(sandwich.lower)} middle={_fmt(sandwich.middle)} "
         f"upper={_fmt(sandwich.upper)} ordered={_fmt(sandwich.ordered)})"
     )
-    _emit(args, meta, records, headline)
+    _emit(args, meta, records, CSV_COLUMNS, headline, _bound_lines(records))
     return _exit_from_records(records)
 
 
@@ -221,11 +198,7 @@ def cmd_sweep(args) -> int:
     rng = SplitMix64(args.seed)
     records: list[dict] = []
     for case_id in range(args.cases):
-        iv = draw_interval(rng, lo, hi, fd.domain)
-        t2, t3, ko = evaluate_case(fd, iv, args.q, args.tol, args.grid_points)
-        records.append(_bound_record(case_id, fd, iv, 2.0, t2))
-        records.append(_bound_record(case_id, fd, iv, args.q, t3))
-        records.append(_bound_record(case_id, fd, iv, args.q, ko))
+        records += _case_records(case_id, fd, draw_interval(rng, lo, hi, fd.domain), args)
     meta = {
         "command": "sweep",
         "rng": sampling.ALGORITHM,
@@ -237,7 +210,7 @@ def cmd_sweep(args) -> int:
         "tol": args.tol,
     }
     headline = f"sweep {fd.label} cases={args.cases} seed={args.seed} rng={sampling.ALGORITHM}"
-    _emit(args, meta, records, headline)
+    _emit(args, meta, records, CSV_COLUMNS, headline, _bound_lines(records))
     return _exit_from_records(records)
 
 
@@ -246,29 +219,20 @@ def cmd_identity(args) -> int:
     iv = Interval(args.interval[0], args.interval[1])
     lemma = f"L{args.lemma}"
     residual = verify_identity(lemma, fd, iv, args.tol)
-    if args.format == "json":
-        meta = {
-            "command": "identity",
-            "lemma": lemma,
-            "function": fd.label,
-            "a": iv.a,
-            "b": iv.b,
-            "tol": args.tol,
-            "residual": residual,
-        }
-        sys.stdout.write("{\n")
-        body = [f'  "{k}": {_json_scalar(v)}' for k, v in meta.items()]
-        sys.stdout.write(",\n".join(body) + "\n}\n")
-    elif args.format == "csv":
-        sys.stdout.write("lemma,function,a,b,tol,residual\n")
-        sys.stdout.write(
-            f"{lemma},{fd.label},{_fmt(iv.a)},{_fmt(iv.b)},{_fmt(args.tol)},{_fmt(residual)}\n"
-        )
-    else:
-        sys.stdout.write(
-            f"identity {lemma} {fd.label} on [{_fmt(iv.a)}, {_fmt(iv.b)}]: "
-            f"residual={_fmt(residual)}\n"
-        )
+    meta = {
+        "command": "identity",
+        "lemma": lemma,
+        "function": fd.label,
+        "a": iv.a,
+        "b": iv.b,
+        "tol": args.tol,
+        "residual": residual,
+    }
+    headline = (
+        f"identity {lemma} {fd.label} on [{_fmt(iv.a)}, {_fmt(iv.b)}]: "
+        f"residual={_fmt(residual)}"
+    )
+    _emit(args, meta, None, None, headline, ())
     return EXIT_OK
 
 
@@ -295,77 +259,49 @@ def cmd_kernel(args) -> int:
         "numeric_error_estimate": numeric.error_estimate,
         "discrepancy": discrepancy,
     }
-    if args.format == "json":
-        sys.stdout.write("{\n")
-        body = [f'  "{k}": {_json_scalar(v)}' for k, v in meta.items()]
-        sys.stdout.write(",\n".join(body) + "\n}\n")
-    elif args.format == "csv":
-        keys = [k for k in meta if k != "command"]
-        sys.stdout.write(",".join(keys) + "\n")
-        sys.stdout.write(",".join(_fmt(meta[k]) for k in keys) + "\n")
-    else:
-        sys.stdout.write(
-            f"kernel p={_fmt(moment.p)}: closed_form={_fmt(moment.closed_form)} "
-            f"pieces=({_fmt(moment.pieces[0])}, {_fmt(moment.pieces[1])}, "
-            f"{_fmt(moment.pieces[2])}, {_fmt(moment.pieces[3])}) p_norm={_fmt(norm)}\n"
-            f"  numeric={_fmt(numeric.value)} discrepancy={_fmt(discrepancy)}\n"
-        )
+    headline = (
+        f"kernel p={_fmt(moment.p)}: closed_form={_fmt(moment.closed_form)} "
+        f"pieces=({', '.join(_fmt(j) for j in moment.pieces)}) p_norm={_fmt(norm)}"
+    )
+    lines = [f"numeric={_fmt(numeric.value)} discrepancy={_fmt(discrepancy)}"]
+    _emit(args, meta, None, None, headline, lines)
     return EXIT_OK
 
 
 def cmd_means(args) -> int:
     mp = MeanPair(args.a, args.b)
-    rows: list[tuple[str, dict]] = []
-    rows.append(("mean", {"item": "A", "value": mean_arithmetic(mp)}))
-    rows.append(("mean", {"item": "L", "value": mean_logarithmic(mp)}))
-    rows.append(("mean", {"item": "I", "value": mean_identric(mp)}))
+    records = [
+        {"item": "A", "value": mean_arithmetic(mp)},
+        {"item": "L", "value": mean_logarithmic(mp)},
+        {"item": "I", "value": mean_identric(mp)},
+    ]
     if args.p is not None:
-        rows.append(("mean", {"item": f"L_{_fmt(args.p)}", "value": mean_p_logarithmic(mp, args.p)}))
+        records.append({"item": f"L_{_fmt(args.p)}", "value": mean_p_logarithmic(mp, args.p)})
     props = [
         check_proposition("P1", mp, n=args.n, variant=args.variant),
         check_proposition("P2", mp, n=args.n, q=args.q, variant=args.variant),
         check_proposition("P3", mp, q=args.q, variant=args.variant),
         check_proposition("P4", mp, q=args.q, variant=args.variant),
     ]
-    for rep in props:
-        rows.append(("prop", {
-            "item": rep.proposition,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "variant": rep.variant,
-            "holds": rep.holds,
-        }))
-    if args.format == "json":
-        meta = {
-            "command": "means",
-            "a": mp.a,
-            "b": mp.b,
-            "n": args.n,
-            "q": args.q,
-            "variant": args.variant,
-        }
-        records = [payload for _, payload in rows]
-        _write_json(sys.stdout, meta, records)
-    elif args.format == "csv":
-        sys.stdout.write("item,value,lhs,rhs,variant,holds\n")
-        for kind, payload in rows:
-            if kind == "mean":
-                sys.stdout.write(f"{payload['item']},{_fmt(payload['value'])},,,,\n")
-            else:
-                sys.stdout.write(
-                    f"{payload['item']},,{_fmt(payload['lhs'])},{_fmt(payload['rhs'])},"
-                    f"{payload['variant']},{_fmt(payload['holds'])}\n"
-                )
-    else:
-        sys.stdout.write(f"means a={_fmt(mp.a)} b={_fmt(mp.b)}\n")
-        for kind, payload in rows:
-            if kind == "mean":
-                sys.stdout.write(f"  {payload['item']:<6s} {_fmt(payload['value'])}\n")
-            else:
-                sys.stdout.write(
-                    f"  {payload['item']}  lhs={_fmt(payload['lhs'])}  rhs={_fmt(payload['rhs'])}  "
-                    f"variant={payload['variant']}  holds={_fmt(payload['holds'])}\n"
-                )
+    records += [
+        {"item": rep.proposition, "lhs": rep.lhs, "rhs": rep.rhs,
+         "variant": rep.variant, "holds": rep.holds}
+        for rep in props
+    ]
+    meta = {
+        "command": "means",
+        "a": mp.a,
+        "b": mp.b,
+        "n": args.n,
+        "q": args.q,
+        "variant": args.variant,
+    }
+    lines = (
+        f"{rec['item']:<6s} {_fmt(rec['value'])}" if "value" in rec
+        else _line(rec, "item", ("lhs", "rhs", "variant", "holds"))
+        for rec in records
+    )
+    _emit(args, meta, records, _MEANS_COLUMNS, f"means a={_fmt(mp.a)} b={_fmt(mp.b)}", lines)
     if any(not rep.holds for rep in props):
         return EXIT_BOUND_FAILURE
     return EXIT_OK

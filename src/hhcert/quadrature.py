@@ -184,7 +184,8 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
                 if not finite.all():
                     flat = int(np.argmin(finite))
                     m = int(np.cumsum(counts).searchsorted(flat // _XK.size, side="right"))
-                    exc = NonFiniteEvaluation(f"integrand not finite at x={nodes.ravel()[flat]!r}")
+                    x = float(nodes.ravel()[flat])
+                    exc = NonFiniteEvaluation(f"integrand not finite at x={x!r}")
                     rows = int(counts[:m].sum())
                 if exc is not None:
                     fail_at, fail_exc = int(owners[m]), exc

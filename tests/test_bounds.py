@@ -19,7 +19,7 @@ from hhcert.bounds import (
     verify_identity,
 )
 from hhcert.catalog import Interval, parse_function_id
-from hhcert.errors import InvalidExponent, NonFiniteEvaluation
+from hhcert.errors import DomainViolation, InvalidExponent
 
 _UNIT = Interval(0.0, 1.0)
 
@@ -81,6 +81,11 @@ class TestSandwich:
         rep = hh_sandwich(parse_function_id("exp"), Interval(2.0, 2.0))
         assert rep.lower == rep.middle == rep.upper == pytest.approx(math.exp(2.0))
         assert rep.ordered
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (-1.0, -1.0), (0.0, 1.0)])
+    def test_outside_domain_raises(self, a, b):
+        with pytest.raises(DomainViolation, match="not inside the domain of ln"):
+            hh_sandwich(parse_function_id("ln"), Interval(a, b))
 
 
 class TestTheorem2:
@@ -208,9 +213,20 @@ class TestEvaluateCase:
         assert hyp_qs == scans
         assert len(gaps) == 1
 
+    @pytest.mark.parametrize(
+        "label,a,b",
+        [("ln", -1.0, -1.0), ("ln", 0.0, 0.0), ("neg_ln", 0.0, 0.0),
+         ("ln", 0.0, 1.0), ("recip", 0.0, 1.0), ("pow:-1", 0.0, 1.0)],
+    )
+    def test_domain_checked_before_any_evaluation(self, label, a, b):
+        # a degenerate interval is not reported trivially, and f' is not
+        # evaluated at a boundary point (1/0 raised ZeroDivisionError)
+        with pytest.raises(DomainViolation, match=f"not inside the domain of {label}"):
+            evaluate_case(parse_function_id(label), Interval(a, b), 3.0)
+
     def test_errors_in_public_call_order(self):
         # T2 is evaluated first, so its error wins over an invalid q ...
-        with pytest.raises(NonFiniteEvaluation):
+        with pytest.raises(DomainViolation):
             evaluate_case(parse_function_id("ln"), Interval(-1.0, 1.0), 0.5)
         with pytest.raises(ValueError, match="grid_points must be >= 3"):
             evaluate_case(parse_function_id("exp"), _UNIT, 0.5, grid_points=2)

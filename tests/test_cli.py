@@ -131,6 +131,14 @@ class TestVerify:
         assert code == 2
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("a,b", [("-1", "-1"), ("0", "0"), ("0", "1")])
+    def test_interval_outside_domain_is_a_domain_error(self, capsys, a, b):
+        code = cli.main(["verify", "--fn", "ln", "--interval", a, b])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: [{float(a)}, {float(b)}] is not inside the domain of ln\n"
+
 
 class TestSweep:
     _ARGS = ["sweep", "--fn", "exp", "--cases", "12", "--seed", "7",
@@ -321,10 +329,12 @@ def test_module_entry_point_runs():
     assert "closed_form" in proc.stdout
 
 
-# inputs whose arithmetic leaves the float range: a division by zero at a
-# domain edge, or an overflow
+# inputs whose arithmetic leaves the float range (a division by zero at a
+# domain edge, or an overflow) or that lie outside the function's domain
 _ARITHMETIC_ERROR_ARGV = [
     ["verify", "--fn", "ln", "--interval", "0", "1"],
+    ["verify", "--fn", "ln", "--interval", "-1", "-1"],
+    ["verify", "--fn", "ln", "--interval", "0", "0"],
     ["verify", "--fn", "recip", "--interval", "0", "1"],
     ["verify", "--fn", "pow:-1", "--interval", "0", "1"],
     ["identity", "--lemma", "1", "--fn", "recip", "--interval", "-1", "1"],

@@ -1,14 +1,16 @@
 """Byte-for-byte CLI output of every subcommand against checked-in goldens.
 
 Each case's stdout is stored in ``tests/golden/<name>.<format>`` and its exit
-status in ``_CASES``.  A change that alters any printed byte must say so in
-CHANGES.md and regenerate the files with
+status in ``_CASES``; every JSON output must parse, and every CSV row must
+have as many fields as the header.  A change that alters any printed byte
+must say so in CHANGES.md and regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import io
+import json
 import pathlib
 
 import pytest
@@ -42,6 +44,7 @@ _CASES = {
          "--interval-range", "-2", "2", "--q", "3", "--grid-points", "9"], 0),
     "sweep_ln_q2": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13"], 0),
     "sweep_ln_q3": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13", "--q", "3"], 0),
+    "sweep_exp_no_cases": (["sweep", "--fn", "exp", "--cases", "0"], 0),
     "kernel_p1.1": (["kernel", "--p", "1.1"], 0),
     "kernel_p1.5": (["kernel", "--p", "1.5"], 0),
     "kernel_p2": (["kernel", "--p", "2"], 0),
@@ -63,6 +66,8 @@ _CASES = {
     "means_1_2": (["means", "--a", "1", "--b", "2"], 0),
     "means_half_4_p3_n-1": (
         ["means", "--a", "0.5", "--b", "4", "--p", "3", "--n", "-1", "--q", "3"], 0),
+    "means_3_6_n-1_as_printed": (
+        ["means", "--a", "3", "--b", "6", "--n", "-1", "--variant", "as-printed"], 1),
 }
 
 
@@ -81,6 +86,12 @@ def test_output_matches_golden(name, fmt):
     golden = (GOLDEN_DIR / f"{name}.{FORMATS[fmt]}").read_bytes()
     assert code == status
     assert out.encode() == golden
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        width = len(rows[0].split(","))
+        assert all(len(row.split(",")) == width for row in rows)
 
 
 if __name__ == "__main__":
