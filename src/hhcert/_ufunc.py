@@ -8,13 +8,14 @@ import numpy as np
 
 
 def eval_elementwise(g: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate g on an ndarray, falling back to a scalar loop if needed."""
+    """Evaluate g on an ndarray, falling back to a scalar loop only for a g
+    that is not array-aware: one that raises TypeError or ValueError on it."""
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(g(x), dtype=float)
             if out.shape == x.shape:
                 return out
-        except Exception:
+        except (TypeError, ValueError):
             pass
         flat = np.array([float(g(v)) for v in x.ravel()])
     return flat.reshape(x.shape)

@@ -16,7 +16,8 @@ T3 at q = 2 coincides with T2.  Each evaluator also runs the sampled
 convexity check for its hypothesis and reports the verdict alongside the
 bound; a bound is computed even when the hypothesis check fails, since the
 gap/bound comparison is still informative.  evaluate_case gives all three
-reports of one case and shares the gap and the scans between them.
+reports of one case and shares the gap and the scans between them, and
+hh_report gives the Hermite-Hadamard sandwich as a fourth report.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -35,6 +36,7 @@ from .catalog import (
     ConvexityReport,
     FunctionDescriptor,
     Interval,
+    check_convexity,
     check_hypothesis,
     require_domain,
 )
@@ -136,47 +138,82 @@ def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> San
     return SandwichReport(lower=lower, middle=middle, upper=upper, ordered=ordered)
 
 
+def hh_report(
+    fd: FunctionDescriptor,
+    iv: Interval,
+    tol: float = 1e-10,
+    grid_points: int = 257,
+) -> tuple[SandwichReport, BoundReport]:
+    """hh_sandwich of fd on iv, and the same result as an "HH" BoundReport.
+
+    The report's hypothesis is the sampled convexity scan of f itself (trivial
+    on a degenerate interval).  Its gap is the worst ordering violation,
+    clamped at 0, and its bound ORDER_SLACK, so that holds == (gap <= bound)
+    reproduces ``ordered`` exactly.
+    """
+    sandwich = hh_sandwich(fd, iv, tol)
+    if iv.is_degenerate:
+        convexity = _TRIVIAL_HYPOTHESIS
+    else:
+        convexity = check_convexity(fd.eval, iv, grid_points)
+    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
+    return sandwich, BoundReport(
+        gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH",
+        hypothesis=convexity, holds=sandwich.ordered,
+    )
+
+
 def _ratio(gap: float, bound: float) -> float:
     if bound > 0.0:
         return gap / bound
     return math.nan if gap == 0.0 else math.inf
 
 
+def _bound(theorem: str, q: float, width: float, da: float, db: float) -> float:
+    """The T2, T3 or KO bound from the width and the endpoint |f'| values.
+
+    T3 and KO check q first, so a zero width gives 0.0 only for a valid q.
+    """
+    if theorem == "T2":
+        return width / math.sqrt(6.0) * math.sqrt(0.5 * (da**2 + db**2))
+    if theorem == "T3":
+        return width * kernel_p_norm(conjugate_of(q).p) * (0.5 * (da**q + db**q)) ** (1.0 / q)
+    if not (math.isfinite(q) and q > 1.0):
+        raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
+    return 3.0 ** (1.0 - 1.0 / q) / 8.0 * width * (da + db)
+
+
 def _report(
     fd: FunctionDescriptor,
     iv: Interval,
-    specs,
+    theorems,
+    q: float,
     tol: float,
     grid_points: int,
 ) -> list[BoundReport]:
-    """One BoundReport per (theorem, bound_from_derivs, hypothesis-q) spec.
+    """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q.
 
-    The endpoint derivatives and the gap are evaluated once, and the
-    hypothesis scan once per distinct q.  ``specs`` is consumed lazily, so a
-    spec built by a generator is validated only after the reports before it
-    are complete, as if each theorem were evaluated on its own.  The domain
-    is checked first, before any evaluation.
+    The domain is checked first, before any evaluation.  The endpoint
+    derivatives and the gap are evaluated once, and the hypothesis scan once
+    per distinct exponent.  Each theorem checks q only after the reports
+    before it are complete, as if each were evaluated on its own.
     """
     require_domain(fd, iv)
-    if iv.is_degenerate:
-        return [
-            BoundReport(
-                gap=0.0, bound=0.0, ratio=math.nan, theorem=theorem,
-                hypothesis=_TRIVIAL_HYPOTHESIS, holds=True,
-            )
-            for theorem, _, _ in specs
-        ]
-    da = abs(_fderiv(fd, iv.a))
-    db = abs(_fderiv(fd, iv.b))
+    da = db = 0.0  # a degenerate interval: zero bounds and gap, f' unevaluated
+    if not iv.is_degenerate:
+        da, db = abs(_fderiv(fd, iv.a)), abs(_fderiv(fd, iv.b))
     gap = None
     hypotheses: dict[float, ConvexityReport] = {}
     reports = []
-    for theorem, bound_from_derivs, hyp_q in specs:
-        bound = bound_from_derivs(iv.width, da, db)
+    for theorem in theorems:
+        bound = _bound(theorem, q, iv.width, da, db)
+        hyp_q = 2.0 if theorem == "T2" else q
         if gap is None:
             gap = midpoint_gap(fd, iv, tol)
         if hyp_q not in hypotheses:
-            hypotheses[hyp_q] = check_hypothesis(fd, iv, hyp_q, grid_points=grid_points)
+            hypotheses[hyp_q] = _TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_hypothesis(
+                fd, iv, hyp_q, grid_points=grid_points
+            )
         reports.append(BoundReport(
             gap=gap,
             bound=bound,
@@ -188,31 +225,6 @@ def _report(
     return reports
 
 
-def _theorem2_bound(width, da, db):
-    return width / math.sqrt(6.0) * math.sqrt(0.5 * (da**2 + db**2))
-
-
-def _theorem3_bound(q: float):
-    pair = conjugate_of(q)
-    norm = kernel_p_norm(pair.p)
-
-    def bound(width, da, db):
-        return width * norm * (0.5 * (da**q + db**q)) ** (1.0 / q)
-
-    return bound
-
-
-def _kirmaci_ozdemir_bound(q: float):
-    if not (math.isfinite(q) and q > 1.0):
-        raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
-    factor = 3.0 ** (1.0 - 1.0 / q) / 8.0
-
-    def bound(width, da, db):
-        return factor * width * (da + db)
-
-    return bound
-
-
 def bound_theorem2(
     fd: FunctionDescriptor,
     iv: Interval,
@@ -220,7 +232,7 @@ def bound_theorem2(
     grid_points: int = 257,
 ) -> BoundReport:
     """Quadratic-mean bound on the midpoint gap; hypothesis |f'|^2 convex."""
-    return _report(fd, iv, [("T2", _theorem2_bound, 2.0)], tol, grid_points)[0]
+    return _report(fd, iv, ("T2",), 2.0, tol, grid_points)[0]
 
 
 def bound_theorem3(
@@ -234,7 +246,8 @@ def bound_theorem3(
 
     At q = 2 this reduces to the quadratic-mean bound of bound_theorem2.
     """
-    return _report(fd, iv, [("T3", _theorem3_bound(q), q)], tol, grid_points)[0]
+    _bound("T3", q, 0.0, 0.0, 0.0)  # q is checked before the domain
+    return _report(fd, iv, ("T3",), q, tol, grid_points)[0]
 
 
 def bound_kirmaci_ozdemir(
@@ -248,7 +261,8 @@ def bound_kirmaci_ozdemir(
 
     The same q feeds both the constant and the convexity hypothesis check.
     """
-    return _report(fd, iv, [("KO", _kirmaci_ozdemir_bound(q), q)], tol, grid_points)[0]
+    _bound("KO", q, 0.0, 0.0, 0.0)  # q is checked before the domain
+    return _report(fd, iv, ("KO",), q, tol, grid_points)[0]
 
 
 def evaluate_case(
@@ -265,13 +279,7 @@ def evaluate_case(
     order of bound_theorem2, bound_theorem3, bound_kirmaci_ozdemir called in
     turn: an invalid q is reported only after the T2 report succeeds.
     """
-
-    def specs():
-        yield "T2", _theorem2_bound, 2.0
-        yield "T3", _theorem3_bound(q), q
-        yield "KO", _kirmaci_ozdemir_bound(q), q
-
-    t2, t3, ko = _report(fd, iv, specs(), tol, grid_points)
+    t2, t3, ko = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)
     return t2, t3, ko
 
 
@@ -279,17 +287,14 @@ def _lemma2_integrand(fd: FunctionDescriptor, x_of):
     """(f'(x(t)) - f'(x(s))) (m(s) - m(t)), the Lemma 2 integrand for integrate_2d.
 
     integrate_2d passes s as a column with one outer node per row.  f'(x(s))
-    is taken one Python float per node, as a lone node would get it, since
-    fd.deriv can round differently on arrays.
+    is taken one Python float per distinct node, as a lone node would get it,
+    since fd.deriv can round differently on arrays.
     """
 
     def integrand(t, s):
-        if np.ndim(s):
-            nodes, row_node = np.unique(s, return_inverse=True)
-            ds = np.array([fd.deriv(x_of(v)) for v in nodes.tolist()])
-            ds = ds[row_node].reshape(np.shape(s))
-        else:
-            ds = fd.deriv(x_of(s))
+        nodes, row_node = np.unique(s, return_inverse=True)
+        ds = np.array([fd.deriv(x_of(v)) for v in nodes.tolist()])
+        ds = ds[row_node].reshape(np.shape(s))
         return (fd.deriv(x_of(t)) - ds) * (kernel_m(s) - kernel_m(t))
 
     return integrand
@@ -310,7 +315,9 @@ def verify_identity(
     (f'(x(t)) - f'(x(s))) (m(s) - m(t)) over the unit square, where
     x(u) = u a + (1-u) b.  Both double/weighted integrals are pre-split at
     the kernel break.  The residual carries quadrature noise of order tol.
+    iv must lie inside fd's domain.
     """
+    require_domain(fd, iv)
     if iv.is_degenerate:
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b

@@ -23,6 +23,9 @@ VIOLATED = "violated"
 _T_GRID = tuple(k / 8.0 for k in range(1, 8))
 _T_HALF = _T_GRID.index(0.5)
 
+# A scan flags a violation only when the worst secant slack is below -SCAN_TOL.
+SCAN_TOL = 1e-12
+
 # Largest accepted grid: one scan slice is MAX_GRID_POINTS**2 floats (34 MB).
 MAX_GRID_POINTS = 2049
 
@@ -196,7 +199,6 @@ def check_convexity(
     g: Callable[[float], float],
     iv: Interval,
     grid_points: int = 257,
-    tol: float = 1e-12,
 ) -> ConvexityReport:
     """Scan the secant inequality g(tx+(1-t)y) <= t g(x) + (1-t) g(y) on a grid.
 
@@ -204,7 +206,7 @@ def check_convexity(
     [iv.a, iv.b] and t over eighths {1/8, ..., 7/8} (midpoint checks are the
     t = 1/2 slice).  Pairs with x = y are skipped: their true slack is
     identically zero, so they only measure rounding noise.  The verdict flags
-    a violation only when the worst secant slack drops below -tol; a pass
+    a violation only when the worst secant slack drops below -SCAN_TOL; a pass
     means no counterexample was found among the samples.
 
     Only the slices t <= 1/2 are evaluated, one grid_points x grid_points
@@ -220,8 +222,6 @@ def check_convexity(
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     xs = np.linspace(iv.a, iv.b, grid_points)
     gx = eval_elementwise(g, xs)
@@ -243,7 +243,7 @@ def check_convexity(
     i, j = divmod(best_flat, grid_points)
     worst = min_slack if min_slack < 0.0 else 0.0
     witness = (float(xs[i]), float(xs[j]), float(_T_GRID[best_k]))
-    verdict = VIOLATED if worst < -tol else NO_VIOLATION
+    verdict = VIOLATED if worst < -SCAN_TOL else NO_VIOLATION
     return ConvexityReport(
         verdict=verdict,
         worst_violation=worst,
@@ -263,7 +263,6 @@ def check_hypothesis(
     iv: Interval,
     q: float,
     grid_points: int = 257,
-    tol: float = 1e-12,
 ) -> ConvexityReport:
     """Check convexity of |f'|^q on iv for a catalog function f."""
     if not (math.isfinite(q) and q >= 1.0):
@@ -274,4 +273,4 @@ def check_hypothesis(
         with np.errstate(all="ignore"):
             return np.abs(fd.deriv(x)) ** q
 
-    return check_convexity(power_of_deriv, iv, grid_points=grid_points, tol=tol)
+    return check_convexity(power_of_deriv, iv, grid_points=grid_points)

@@ -20,21 +20,8 @@ import math
 import sys
 
 from . import sampling
-from .bounds import (
-    _TRIVIAL_HYPOTHESIS,
-    ORDER_SLACK,
-    BoundReport,
-    evaluate_case,
-    hh_sandwich,
-    verify_identity,
-)
-from .catalog import (
-    NO_VIOLATION,
-    FunctionDescriptor,
-    Interval,
-    check_convexity,
-    parse_function_id,
-)
+from .bounds import evaluate_case, hh_report, verify_identity
+from .catalog import NO_VIOLATION, FunctionDescriptor, Interval, parse_function_id
 from .errors import HHCertError
 from .kernel import kernel_m, kernel_p_moment, kernel_p_norm
 from .means import (
@@ -164,17 +151,7 @@ def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
     iv = Interval(args.interval[0], args.interval[1])
     records = _case_records(0, fd, iv, args)
-    sandwich = hh_sandwich(fd, iv, args.tol)
-    if iv.is_degenerate:
-        convexity = _TRIVIAL_HYPOTHESIS
-    else:
-        convexity = check_convexity(fd.eval, iv, args.grid_points)
-    # The sandwich maps onto the bound schema as: gap = worst ordering
-    # violation (clamped at 0), bound = the ordering slack, so that
-    # holds == (gap <= bound) exactly reproduces `ordered`.
-    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
-    hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH",
-                     hypothesis=convexity, holds=sandwich.ordered)
+    sandwich, hh = hh_report(fd, iv, args.tol, args.grid_points)
     records.append(_bound_record(0, fd, iv, None, hh))
     meta = {
         "command": "verify",
@@ -194,6 +171,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     fd = parse_function_id(args.fn)
+    if args.cases < 0:
+        raise ValueError(f"cases must be >= 0, got {args.cases}")
     lo, hi = args.interval_range
     rng = SplitMix64(args.seed)
     records: list[dict] = []

@@ -14,11 +14,12 @@ from hhcert.bounds import (
     bound_theorem3,
     conjugate_of,
     evaluate_case,
+    hh_report,
     hh_sandwich,
     midpoint_gap,
     verify_identity,
 )
-from hhcert.catalog import Interval, parse_function_id
+from hhcert.catalog import VIOLATED, Interval, check_convexity, parse_function_id
 from hhcert.errors import DomainViolation, InvalidExponent
 
 _UNIT = Interval(0.0, 1.0)
@@ -86,6 +87,36 @@ class TestSandwich:
     def test_outside_domain_raises(self, a, b):
         with pytest.raises(DomainViolation, match="not inside the domain of ln"):
             hh_sandwich(parse_function_id("ln"), Interval(a, b))
+
+
+class TestHHReport:
+    @pytest.mark.parametrize("label,a,b", [("exp", 0.0, 1.0), ("ln", 1.0, 3.0)])
+    def test_sandwich_as_a_bound_row(self, label, a, b):
+        fd, iv = parse_function_id(label), Interval(a, b)
+        sandwich, rep = hh_report(fd, iv, grid_points=33)
+        assert sandwich == hh_sandwich(fd, iv)
+        assert rep.theorem == "HH"
+        assert rep.bound == bounds.ORDER_SLACK
+        assert rep.gap == max(sandwich.lower - sandwich.middle,
+                              sandwich.middle - sandwich.upper, 0.0)
+        assert rep.holds == sandwich.ordered == (rep.gap <= rep.bound)
+        assert rep.hypothesis == check_convexity(fd.eval, iv, 33)
+
+    def test_concave_function_is_flagged(self):
+        _, rep = hh_report(parse_function_id("ln"), Interval(1.0, 3.0), grid_points=33)
+        assert rep.hypothesis.verdict == VIOLATED
+        assert not rep.holds
+
+    def test_degenerate_is_trivial(self):
+        sandwich, rep = hh_report(parse_function_id("exp"), Interval(2.0, 2.0))
+        assert sandwich.ordered and rep.holds
+        assert rep.gap == rep.ratio == 0.0
+        assert rep.hypothesis.ok and rep.hypothesis.samples == 0
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 1.0)])
+    def test_outside_domain_raises(self, a, b):
+        with pytest.raises(DomainViolation, match="not inside the domain of ln"):
+            hh_report(parse_function_id("ln"), Interval(a, b))
 
 
 class TestTheorem2:
@@ -236,6 +267,14 @@ class TestEvaluateCase:
                 evaluate_case(parse_function_id("exp"), iv, 1.0)
 
 
+    @pytest.mark.parametrize(
+        "wrapper,q", [(bound_theorem3, 1.0), (bound_kirmaci_ozdemir, 0.5)]
+    )
+    def test_public_wrappers_check_q_before_the_domain(self, wrapper, q):
+        with pytest.raises(InvalidExponent):
+            wrapper(parse_function_id("ln"), Interval(-1.0, 1.0), q)
+
+
 class TestIdentities:
     @pytest.mark.parametrize("lemma", ["L1", "L2"])
     @pytest.mark.parametrize(
@@ -259,3 +298,12 @@ class TestIdentities:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             verify_identity("L1", parse_function_id("exp"), Interval(1.0, 1.0))
+
+    @pytest.mark.parametrize("lemma", ["L1", "L2"])
+    @pytest.mark.parametrize(
+        "label,a,b", [("ln", 0.0, 1.0), ("recip", -1.0, 1.0), ("ln", -1.0, 1.0), ("ln", 0.0, 0.0)]
+    )
+    def test_outside_domain_raises(self, lemma, label, a, b):
+        # checked before the degenerate check and before any evaluation
+        with pytest.raises(DomainViolation, match=f"not inside the domain of {label}"):
+            verify_identity(lemma, parse_function_id(label), Interval(a, b))

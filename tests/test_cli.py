@@ -191,6 +191,14 @@ class TestSweep:
         assert code == 2
 
 
+    def test_negative_cases_is_config_error(self, capsys):
+        code = cli.main(["sweep", "--fn", "exp", "--cases", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cases must be >= 0, got -1\n"
+
+
 class TestIdentity:
     def test_csv_residual_small(self, capsys):
         code, out = _run(
@@ -212,6 +220,20 @@ class TestIdentity:
         assert code == 0
         assert out.startswith("identity L1 pow:3")
         assert "residual=" in out
+
+
+    @pytest.mark.parametrize(
+        "lemma,label,a,b",
+        [("1", "ln", "0", "1"), ("2", "recip", "-1", "1"), ("1", "ln", "-1", "1")],
+    )
+    def test_interval_outside_domain_is_a_domain_error(self, capsys, lemma, label, a, b):
+        code = cli.main(["identity", "--lemma", lemma, "--fn", label, "--interval", a, b])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: [{float(a)}, {float(b)}] is not inside the domain of {label}\n"
+        )
 
 
 class TestKernel:
@@ -358,3 +380,61 @@ def test_arithmetic_error_exits_2_without_traceback(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# The first error in evaluation order wins: the domain, then T2 (its scan's
+# grid check), then T3 (its conjugate exponent, also on a degenerate
+# interval, then the overflow of |f'|^q in its bound), before any output.
+_ERROR_ORDER = [
+    (["verify", "--fn", "ln", "--interval", "-1", "1", "--q", "0.5"],
+     "error: [-1.0, 1.0] is not inside the domain of ln"),
+    (["verify", "--fn", "exp", "--interval", "0", "1", "--grid-points", "2", "--q", "0.5"],
+     "error: grid_points must be >= 3, got 2"),
+    (["verify", "--fn", "exp", "--interval", "0", "1", "--q", "1"],
+     "error: conjugate_of requires q > 1, got q=1.0"),
+    (["verify", "--fn", "exp", "--interval", "1", "1", "--q", "1"],
+     "error: conjugate_of requires q > 1, got q=1.0"),
+    (["verify", "--fn", "exp", "--interval", "230", "240", "--q", "3"],
+     "error: (34, 'Numerical result out of range')"),
+    (["verify", "--fn", "exp", "--interval", "0", "1", "--grid-points", "2050"],
+     "error: grid_points must be <= 2049, got 2050"),
+    (["sweep", "--fn", "exp", "--cases", "1", "--q", "0.5"],
+     "error: conjugate_of requires q > 1, got q=0.5"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _ERROR_ORDER, ids=[" ".join(a) for a, _ in _ERROR_ORDER])
+def test_error_order(capsys, argv, err):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err + "\n")
+
+
+_RUNTIME_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import hhcert.cli as cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+added = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+print(" ".join(sorted(added - {{"hhcert", "numpy"}} - set(sys.stdlib_module_names))))
+"""
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    argvs = [
+        ["verify", "--fn", "exp", "--interval", "0", "1", "--grid-points", "9"],
+        ["sweep", "--fn", "exp", "--cases", "1", "--grid-points", "9"],
+        ["identity", "--lemma", "1", "--fn", "exp", "--interval", "0", "1"],
+        ["kernel", "--p", "2"],
+        ["means", "--a", "1", "--b", "2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_PROBE.format(argvs=argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

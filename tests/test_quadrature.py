@@ -147,6 +147,26 @@ def _scalar_only(t, s):
     return (mt - ms) ** 2
 
 
+class _Refused(Exception):
+    """An integrand's own error, not a sign that it is scalar-only."""
+
+
+def test_integrand_error_propagates_from_the_array_call():
+    # only TypeError or ValueError (an array-unaware integrand) starts the
+    # point-by-point retry; any other error is raised by the one array call
+    calls = []
+
+    def refuses_above_half(x):
+        calls.append(np.shape(x))
+        if np.any(np.asarray(x) > 0.5):
+            raise _Refused
+        return x
+
+    with pytest.raises(_Refused):
+        integrate_1d(refuses_above_half, Interval(0.0, 1.0))
+    assert len(calls) == 1
+
+
 class TestIterated2D:
     def test_separable_product(self):
         res = integrate_2d(lambda t, s: t * s, tol=1e-10)
