@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ufunc import eval_elementwise
 from .catalog import (
-    NO_VIOLATION,
+    TRIVIAL_HYPOTHESIS,
     ConvexityReport,
     FunctionDescriptor,
     Interval,
@@ -46,10 +47,6 @@ from .quadrature import integrate_1d, integrate_2d
 
 HOLDS_SLACK = 1e-12
 ORDER_SLACK = 1e-10
-
-_TRIVIAL_HYPOTHESIS = ConvexityReport(
-    verdict=NO_VIOLATION, worst_violation=0.0, witness=None, samples=0
-)
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,21 @@ def conjugate_of(q: float) -> ConjugatePair:
     return ConjugatePair(p=q / (q - 1.0), q=q)
 
 
+def theorem3_constant(q: float) -> float:
+    """T3's constant kernel_p_norm(p) at the conjugate p of q > 1; P2-P4 use it too."""
+    return kernel_p_norm(conjugate_of(q).p)
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """One gap-versus-bound comparison."""
+    """One gap-versus-bound comparison; q is the exponent of the hypothesis
+    |f'|^q convex (2 for T2), None for HH, whose hypothesis is f convex."""
 
     gap: float
     bound: float
     ratio: float
     theorem: str
+    q: float | None
     hypothesis: ConvexityReport
     holds: bool
 
@@ -98,16 +102,6 @@ class SandwichReport:
     ordered: bool
 
 
-def _feval(fd: FunctionDescriptor, x: float) -> float:
-    with np.errstate(all="ignore"):
-        return float(fd.eval(x))
-
-
-def _fderiv(fd: FunctionDescriptor, x: float) -> float:
-    with np.errstate(all="ignore"):
-        return float(fd.deriv(x))
-
-
 def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
     """Absolute midpoint-rule error of the integral mean of fd over iv.
 
@@ -117,7 +111,7 @@ def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> fl
     if iv.is_degenerate:
         return 0.0
     integral = integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint,))
-    return abs(_feval(fd, iv.midpoint) - integral.value / iv.width)
+    return abs(float(eval_elementwise(fd.eval, iv.midpoint)) - integral.value / iv.width)
 
 
 def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> SandwichReport:
@@ -129,11 +123,13 @@ def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> San
     """
     require_domain(fd, iv)
     if iv.is_degenerate:
-        v = _feval(fd, iv.a)
+        v = float(eval_elementwise(fd.eval, iv.a))
         return SandwichReport(lower=v, middle=v, upper=v, ordered=True)
-    lower = _feval(fd, iv.midpoint)
+    lower = float(eval_elementwise(fd.eval, iv.midpoint))
     middle = integrate_1d(fd.eval, iv, tol).value / iv.width
-    upper = 0.5 * (_feval(fd, iv.a) + _feval(fd, iv.b))
+    upper = 0.5 * (
+        float(eval_elementwise(fd.eval, iv.a)) + float(eval_elementwise(fd.eval, iv.b))
+    )
     ordered = lower <= middle + ORDER_SLACK and middle <= upper + ORDER_SLACK
     return SandwichReport(lower=lower, middle=middle, upper=upper, ordered=ordered)
 
@@ -153,12 +149,12 @@ def hh_report(
     """
     sandwich = hh_sandwich(fd, iv, tol)
     if iv.is_degenerate:
-        convexity = _TRIVIAL_HYPOTHESIS
+        convexity = TRIVIAL_HYPOTHESIS
     else:
         convexity = check_convexity(fd.eval, iv, grid_points)
     gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
     return sandwich, BoundReport(
-        gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH",
+        gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
         hypothesis=convexity, holds=sandwich.ordered,
     )
 
@@ -177,7 +173,7 @@ def _bound(theorem: str, q: float, width: float, da: float, db: float) -> float:
     if theorem == "T2":
         return width / math.sqrt(6.0) * math.sqrt(0.5 * (da**2 + db**2))
     if theorem == "T3":
-        return width * kernel_p_norm(conjugate_of(q).p) * (0.5 * (da**q + db**q)) ** (1.0 / q)
+        return width * theorem3_constant(q) * (0.5 * (da**q + db**q)) ** (1.0 / q)
     if not (math.isfinite(q) and q > 1.0):
         raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
     return 3.0 ** (1.0 - 1.0 / q) / 8.0 * width * (da + db)
@@ -201,7 +197,8 @@ def _report(
     require_domain(fd, iv)
     da = db = 0.0  # a degenerate interval: zero bounds and gap, f' unevaluated
     if not iv.is_degenerate:
-        da, db = abs(_fderiv(fd, iv.a)), abs(_fderiv(fd, iv.b))
+        da = abs(float(eval_elementwise(fd.deriv, iv.a)))
+        db = abs(float(eval_elementwise(fd.deriv, iv.b)))
     gap = None
     hypotheses: dict[float, ConvexityReport] = {}
     reports = []
@@ -211,7 +208,7 @@ def _report(
         if gap is None:
             gap = midpoint_gap(fd, iv, tol)
         if hyp_q not in hypotheses:
-            hypotheses[hyp_q] = _TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_hypothesis(
+            hypotheses[hyp_q] = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_hypothesis(
                 fd, iv, hyp_q, grid_points=grid_points
             )
         reports.append(BoundReport(
@@ -219,6 +216,7 @@ def _report(
             bound=bound,
             ratio=_ratio(gap, bound),
             theorem=theorem,
+            q=hyp_q,
             hypothesis=hypotheses[hyp_q],
             holds=gap <= bound + HOLDS_SLACK,
         ))
@@ -315,30 +313,26 @@ def verify_identity(
     (f'(x(t)) - f'(x(s))) (m(s) - m(t)) over the unit square, where
     x(u) = u a + (1-u) b.  Both double/weighted integrals are pre-split at
     the kernel break.  The residual carries quadrature noise of order tol.
-    iv must lie inside fd's domain.
+    iv must lie inside fd's domain.  An unknown lemma is rejected before iv.
     """
+    if lemma not in ("L1", "L2"):
+        raise ValueError(f"lemma must be 'L1' or 'L2', got {lemma!r}")
     require_domain(fd, iv)
     if iv.is_degenerate:
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
     mid = iv.midpoint
     mean = integrate_1d(fd.eval, iv, tol, breakpoints=(mid,)).value / iv.width
+    f_mid = float(eval_elementwise(fd.eval, mid))
 
     def x_of(u):
         return u * a + (1.0 - u) * b
 
     if lemma == "L1":
-        lhs = mean - _feval(fd, mid)
         left = integrate_1d(lambda t: t * fd.deriv(x_of(t)), Interval(0.0, 0.5), tol)
         right = integrate_1d(lambda t: (t - 1.0) * fd.deriv(x_of(t)), Interval(0.5, 1.0), tol)
-        rhs = iv.width * (left.value + right.value)
-    elif lemma == "L2":
-        lhs = _feval(fd, mid) - mean
-
-        dbl = integrate_2d(
-            _lemma2_integrand(fd, x_of), tol, breakpoints_t=(0.5,), breakpoints_s=(0.5,)
-        )
-        rhs = 0.5 * iv.width * dbl.value
-    else:
-        raise ValueError(f"lemma must be 'L1' or 'L2', got {lemma!r}")
-    return abs(lhs - rhs)
+        return abs((mean - f_mid) - iv.width * (left.value + right.value))
+    dbl = integrate_2d(
+        _lemma2_integrand(fd, x_of), tol, breakpoints_t=(0.5,), breakpoints_s=(0.5,)
+    )
+    return abs((f_mid - mean) - 0.5 * iv.width * dbl.value)

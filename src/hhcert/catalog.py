@@ -106,6 +106,12 @@ class ConvexityReport:
         return self.verdict == NO_VIOLATION
 
 
+# The hypothesis report of a degenerate interval, where no secant exists to sample.
+TRIVIAL_HYPOTHESIS = ConvexityReport(
+    verdict=NO_VIOLATION, worst_violation=0.0, witness=None, samples=0
+)
+
+
 def _require_integer(name: str, value: float) -> int:
     if value != int(value):
         raise InvalidParameter(f"{name} requires an integer exponent, got {value}")
@@ -216,7 +222,7 @@ def check_convexity(
     index: the report (including the first-found witness) is that of the
     full 7-slice scan.  grid_points is capped at MAX_GRID_POINTS.
     """
-    if iv.is_degenerate or iv.a >= iv.b:
+    if iv.is_degenerate:
         raise ValueError("check_convexity requires a non-degenerate interval")
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
@@ -270,7 +276,6 @@ def check_hypothesis(
     require_domain(fd, iv)
 
     def power_of_deriv(x):
-        with np.errstate(all="ignore"):
-            return np.abs(fd.deriv(x)) ** q
+        return np.abs(fd.deriv(x)) ** q
 
     return check_convexity(power_of_deriv, iv, grid_points=grid_points)

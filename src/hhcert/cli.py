@@ -111,13 +111,13 @@ def _emit(args, meta: dict, records, columns, headline: str, lines) -> None:
         sys.stdout.write(headline + "\n" + "".join(f"  {line}\n" for line in lines))
 
 
-def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, q, report) -> dict:
+def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, report) -> dict:
     return {
         "case_id": case_id,
         "function": fd.label,
         "a": iv.a,
         "b": iv.b,
-        "q": q,
+        "q": report.q,
         "theorem": report.theorem,
         "gap": report.gap,
         "bound": report.bound,
@@ -128,12 +128,8 @@ def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, q, report)
 
 
 def _case_records(case_id: int, fd: FunctionDescriptor, iv: Interval, args) -> list[dict]:
-    t2, t3, ko = evaluate_case(fd, iv, args.q, args.tol, args.grid_points)
-    return [
-        _bound_record(case_id, fd, iv, 2.0, t2),
-        _bound_record(case_id, fd, iv, args.q, t3),
-        _bound_record(case_id, fd, iv, args.q, ko),
-    ]
+    reports = evaluate_case(fd, iv, args.q, args.tol, args.grid_points)
+    return [_bound_record(case_id, fd, iv, report) for report in reports]
 
 
 def _bound_lines(records: list[dict]):
@@ -152,7 +148,7 @@ def cmd_verify(args) -> int:
     iv = Interval(args.interval[0], args.interval[1])
     records = _case_records(0, fd, iv, args)
     sandwich, hh = hh_report(fd, iv, args.tol, args.grid_points)
-    records.append(_bound_record(0, fd, iv, None, hh))
+    records.append(_bound_record(0, fd, iv, hh))
     meta = {
         "command": "verify",
         "function": fd.label,
@@ -286,13 +282,6 @@ def cmd_means(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="absolute quadrature tolerance (default 1e-10)")
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                     help="output format (default text)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhcert",
@@ -307,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q", type=float, default=2.0, help="hypothesis exponent q > 1 (default 2)")
     verify.add_argument("--grid-points", type=int, default=257,
                         help="convexity sampling density per axis (default 257)")
-    _add_common(verify)
     verify.set_defaults(func=cmd_verify)
 
     sweep = subs.add_parser("sweep", help="seeded randomized bound sweep")
@@ -320,19 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="endpoint sampling range, intersected with the "
                             "function domain (default 0.1 10)")
     sweep.add_argument("--grid-points", type=int, default=257)
-    _add_common(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     identity = subs.add_parser("identity", help="residual of an exact integral identity")
     identity.add_argument("--lemma", type=int, choices=(1, 2), required=True)
     identity.add_argument("--fn", required=True)
     identity.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"), required=True)
-    _add_common(identity)
     identity.set_defaults(func=cmd_identity)
 
     kernel = subs.add_parser("kernel", help="kernel moment constants and numeric cross-check")
     kernel.add_argument("--p", type=float, required=True, help="moment exponent p >= 1")
-    _add_common(kernel)
     kernel.set_defaults(func=cmd_kernel)
 
     means = subs.add_parser("means", help="special means and proposition checks")
@@ -343,9 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     means.add_argument("--q", type=float, default=2.0, help="hypothesis exponent (default 2)")
     means.add_argument("--variant", choices=("as-printed", "as-derived"), default="as-derived",
                        help="formula variant where two exist (default as-derived)")
-    _add_common(means)
     means.set_defaults(func=cmd_means)
 
+    for sub in (verify, sweep, identity, kernel):
+        sub.add_argument("--tol", type=float, default=1e-10,
+                         help="absolute quadrature tolerance (default 1e-10)")
+    for sub in (verify, sweep, identity, kernel, means):
+        sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                         help="output format (default text)")
     return parser
 
 

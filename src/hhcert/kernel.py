@@ -57,10 +57,15 @@ def _validate_p(p: float) -> float:
     return float(p)
 
 
+def _closed_form(p: float) -> float:
+    # Kept apart from the pieces, whose 2^(p+1) overflows for p > 1023.
+    return 2.0 / ((p + 1.0) * (p + 2.0))
+
+
 def kernel_p_moment(p: float) -> KernelMoment:
     """Closed-form value of the kernel's p-th difference moment and pieces."""
     p = _validate_p(p)
-    total = 2.0 / ((p + 1.0) * (p + 2.0))
+    total = _closed_form(p)
     corner = 1.0 / (2.0 ** (p + 1.0) * (p + 1.0) * (p + 2.0))
     cross = 1.0 / ((p + 1.0) * (p + 2.0)) - corner
     return KernelMoment(p=p, closed_form=total, pieces=(corner, cross, cross, corner))
@@ -69,4 +74,4 @@ def kernel_p_moment(p: float) -> KernelMoment:
 def kernel_p_norm(p: float) -> float:
     """L^p-style constant (2 / ((p+1)(p+2)))^(1/p) of the kernel moment."""
     p = _validate_p(p)
-    return (2.0 / ((p + 1.0) * (p + 2.0))) ** (1.0 / p)
+    return _closed_form(p) ** (1.0 / p)

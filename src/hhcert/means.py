@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import HOLDS_SLACK, conjugate_of
+from .bounds import HOLDS_SLACK, theorem3_constant
 from .errors import InvalidExponent, InvalidParameter
-from .kernel import kernel_p_norm
 
 VARIANTS = ("as-printed", "as-derived")
 
@@ -187,18 +186,18 @@ def check_proposition(
     elif prop == "P2":
         n = _require_n(n)
         q = _require_q(q)
-        norm = kernel_p_norm(conjugate_of(q).p)
+        norm = theorem3_constant(q)
         lhs = abs(_avg(a**n, b**n) - _power_integral_mean(a, b, n))
         rhs = abs(n) * width * norm * _avg(a ** (q * (n - 1)), b ** (q * (n - 1))) ** (1.0 / q)
     elif prop == "P3":
         q = _require_q(q)
-        norm = kernel_p_norm(conjugate_of(q).p)
+        norm = theorem3_constant(q)
         ident = mean_identric(mp)
         lhs = math.log(ident / A) if variant == "as-printed" else abs(math.log(A / ident))
         rhs = width / (a * b) * norm * _avg(b**q, a**q) ** (1.0 / q)
     else:  # P4
         q = _require_q(q)
-        norm = kernel_p_norm(conjugate_of(q).p)
+        norm = theorem3_constant(q)
         lhs = abs(1.0 / A - 1.0 / mean_logarithmic(mp))
         rhs = width / (a * b) ** 2 * norm * _avg(a ** (2.0 * q), b ** (2.0 * q)) ** (1.0 / q)
 

@@ -9,6 +9,8 @@ reproduces every sweep bit for bit; outputs map to doubles by taking the top
 
 from __future__ import annotations
 
+import math
+
 from .catalog import Domain, Interval
 
 _MASK = (1 << 64) - 1
@@ -43,30 +45,26 @@ class SplitMix64:
 MIN_WIDTH = 1e-6
 
 
-def draw_interval(
-    rng: SplitMix64,
-    lo: float,
-    hi: float,
-    domain: Domain | None = None,
-    min_width: float = MIN_WIDTH,
-) -> Interval:
+def draw_interval(rng: SplitMix64, lo: float, hi: float, domain: Domain) -> Interval:
     """Draw an interval with endpoints uniform in [lo, hi), ordered.
 
-    The range is intersected with the open function domain when one is given;
-    draws narrower than min_width or touching a domain boundary are rejected
-    and redrawn so every returned interval is usable as-is.
+    The range is intersected with the open function domain; draws narrower
+    than MIN_WIDTH or touching a domain boundary are rejected and redrawn so
+    every returned interval is usable as-is.  The intersection must be finite
+    and at least 2 * MIN_WIDTH wide, so that each draw is accepted with
+    probability at least 1/4 and the loop ends.
     """
-    if domain is not None:
-        lo = max(lo, domain.lower)
-        hi = min(hi, domain.upper)
+    lo = max(lo, domain.lower)
+    hi = min(hi, domain.upper)
     if not lo < hi:
         raise ValueError(f"empty sampling range [{lo}, {hi}]")
+    if not 2.0 * MIN_WIDTH <= hi - lo < math.inf:
+        raise ValueError(
+            f"sampling range [{lo}, {hi}] must be finite and at least {2.0 * MIN_WIDTH:g} wide"
+        )
     while True:
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
-        a, b = (x, y) if x <= y else (y, x)
-        if b - a < min_width:
-            continue
-        if domain is not None and not (domain.lower < a and b < domain.upper):
-            continue
-        return Interval(a, b)
+        iv = Interval(x, y) if x <= y else Interval(y, x)
+        if iv.width >= MIN_WIDTH and domain.contains_interval(iv):
+            return iv

@@ -17,10 +17,12 @@ from hhcert.bounds import (
     hh_report,
     hh_sandwich,
     midpoint_gap,
+    theorem3_constant,
     verify_identity,
 )
 from hhcert.catalog import VIOLATED, Interval, check_convexity, parse_function_id
 from hhcert.errors import DomainViolation, InvalidExponent
+from hhcert.kernel import kernel_p_norm
 
 _UNIT = Interval(0.0, 1.0)
 
@@ -46,6 +48,22 @@ class TestConjugate:
         with pytest.raises(InvalidExponent):
             ConjugatePair(p=2.0, q=3.0)
         ConjugatePair(p=1.5, q=3.0)
+
+
+class TestTheorem3Constant:
+    # from p near 1e9 (where the kernel's 2^(p+1) pieces overflow) to p near 1
+    _QS = [1.0 + 1e-9, 1.0 + 1e-6, 1.0001, 1.001, 1.1, 1.5, 2.0, 3.0, 7.5, 1e3, 1e6]
+
+    @pytest.mark.parametrize("q", _QS)
+    def test_is_the_kernel_norm_at_the_conjugate(self, q):
+        got = theorem3_constant(q)
+        assert math.isfinite(got)
+        assert repr(got) == repr(kernel_p_norm(conjugate_of(q).p))
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, -2.0, math.nan])
+    def test_rejects_q_at_most_1_as_conjugate_of_does(self, q):
+        with pytest.raises(InvalidExponent, match="conjugate_of requires q > 1"):
+            theorem3_constant(q)
 
 
 class TestMidpointGap:
@@ -274,6 +292,13 @@ class TestEvaluateCase:
         with pytest.raises(InvalidExponent):
             wrapper(parse_function_id("ln"), Interval(-1.0, 1.0), q)
 
+    @pytest.mark.parametrize("iv", [_UNIT, Interval(1.0, 1.0)])
+    def test_each_report_carries_its_hypothesis_exponent(self, iv):
+        fd = parse_function_id("exp")
+        reports = evaluate_case(fd, iv, q=3, grid_points=9)
+        assert [(r.theorem, r.q) for r in reports] == [("T2", 2), ("T3", 3), ("KO", 3)]
+        assert hh_report(fd, iv, grid_points=9)[1].q is None
+
 
 class TestIdentities:
     @pytest.mark.parametrize("lemma", ["L1", "L2"])
@@ -294,6 +319,22 @@ class TestIdentities:
     def test_unknown_lemma(self):
         with pytest.raises(ValueError):
             verify_identity("L3", parse_function_id("exp"), _UNIT)
+
+    @pytest.mark.parametrize("label,a,b", [("exp", 0.0, 1.0), ("ln", -1.0, 1.0)])
+    def test_unknown_lemma_rejected_before_the_domain_and_any_integral(
+        self, monkeypatch, label, a, b
+    ):
+        calls = []
+        real = bounds.integrate_1d
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "integrate_1d", counting)
+        with pytest.raises(ValueError, match="lemma must be 'L1' or 'L2', got 'L3'"):
+            verify_identity("L3", parse_function_id(label), Interval(a, b))
+        assert calls == []
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,29 @@ from hhcert.errors import (
 )
 
 
+class TestEvalElementwise:
+    def test_a_float_gives_the_scalar_result_bit_for_bit(self):
+        got = eval_elementwise(lambda x: x**3, 0.7)
+        assert got.shape == ()
+        assert repr(float(got)) == repr(0.7**3)
+
+    def test_numpy_warnings_are_silenced_for_a_float(self):
+        # pyproject.toml makes RuntimeWarning an error, so a leaked warning fails here
+        assert float(eval_elementwise(np.exp, 1000.0)) == math.inf
+        assert math.isnan(float(eval_elementwise(np.log, -1.0)))
+
+    @pytest.mark.parametrize(
+        "g,x,exc",
+        [(lambda x: 1.0 / x, 0.0, ZeroDivisionError), (lambda x: x**3, 1e200, OverflowError)],
+    )
+    def test_a_callables_own_arithmetic_error_on_a_float_propagates(self, g, x, exc):
+        with pytest.raises(exc) as err:
+            eval_elementwise(g, x)
+        with pytest.raises(exc) as direct:
+            g(x)
+        assert str(err.value) == str(direct.value)
+
+
 class TestInterval:
     def test_properties(self):
         iv = Interval(1.0, 4.0)

@@ -198,6 +198,38 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "error: cases must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "fn,lo,hi",
+        [
+            ("exp", "0", "1e-7"),
+            ("exp", "0", "inf"),
+            ("ln", "-5", "1e-300"),
+            ("exp", "0", "1.5e-6"),
+            ("exp", "-1" + "0" * 308, "1" + "0" * 308),  # a width that overflows
+        ],
+    )
+    def test_range_too_narrow_or_not_finite_exits_2(self, fn, lo, hi):
+        # no 1e-6 interval fits these ranges, so a draw loop would never end
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhcert", "sweep", "--fn", fn, "--cases", "1",
+             "--interval-range", lo, hi],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: sampling range [")
+        assert proc.stderr.endswith("must be finite and at least 2e-06 wide\n")
+
+    def test_range_twice_the_minimum_width_is_drawn(self, capsys):
+        code, out = _run(capsys, ["sweep", "--fn", "exp", "--cases", "2", "--grid-points", "9",
+                                  "--interval-range", "0", "2e-6", "--format", "json"])
+        assert code == 0
+        for rec in json.loads(out)["records"]:
+            assert 0.0 < rec["a"] and rec["b"] - rec["a"] >= 1e-6 and rec["b"] < 2e-6
+
 
 class TestIdentity:
     def test_csv_residual_small(self, capsys):
@@ -295,6 +327,12 @@ class TestMeans:
         table = {ln.split(",")[0]: ln.split(",") for ln in proc.stdout.splitlines()[1:]}
         for item in ("A", "L", "I"):
             assert a <= float(table[item][1]) <= b
+
+    def test_tol_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["means", "--a", "1", "--b", "2", "--tol", "-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_nonpositive_pair_is_config_error(self, capsys):
         code = cli.main(["means", "--a", "-1", "--b", "2"])
