@@ -12,12 +12,16 @@ alone, each valid when |f'|^q is convex on [a, b] for its exponent:
              * ((|f'(a)|^q + |f'(b)|^q) / 2)^(1/q),   1/p + 1/q = 1  (q > 1)
     KO:  (3^(1-1/q) / 8) * (b-a) * (|f'(a)| + |f'(b)|)               (q > 1)
 
-T3 at q = 2 coincides with T2.  Each evaluator also runs the sampled
-convexity check for its hypothesis and reports the verdict alongside the
-bound; a bound is computed even when the hypothesis check fails, since the
-gap/bound comparison is still informative.  evaluate_case gives all three
-reports of one case and shares the gap and the scans between them, and
-hh_report gives the Hermite-Hadamard sandwich as a fourth report.
+T3 at q = 2 coincides with T2.  Each evaluator also checks its hypothesis
+with catalog.check_hypothesis, which decides it in closed form for catalog
+functions and samples it for hand-built descriptors, and reports the verdict
+alongside the bound; a bound is computed even when the hypothesis check
+fails, since the gap/bound comparison is still informative.  evaluate_case
+gives all three reports of one case and shares the gap and the hypothesis
+checks between them, and hh_report gives the Hermite-Hadamard sandwich as a
+fourth report, whose hypothesis (f convex) is always sampled.
+
+Every integral of f or f' is split at the kinks of f' inside its range.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -105,12 +109,14 @@ class SandwichReport:
 def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
     """Absolute midpoint-rule error of the integral mean of fd over iv.
 
-    The integral is pre-split at the midpoint; a degenerate interval gives
-    exactly zero.
+    The integral is pre-split at the midpoint and the kinks of f'; a
+    degenerate interval gives exactly zero.
     """
     if iv.is_degenerate:
         return 0.0
-    integral = integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint,))
+    integral = integrate_1d(
+        fd.eval, iv, tol, breakpoints=(iv.midpoint, *fd.kinks_inside(iv.a, iv.b))
+    )
     return abs(float(eval_elementwise(fd.eval, iv.midpoint)) - integral.value / iv.width)
 
 
@@ -118,15 +124,17 @@ def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> San
     """Evaluate midpoint value <= integral mean <= endpoint average.
 
     The ordering holds for convex fd; each comparison is allowed ORDER_SLACK
-    of numerical slack.  On a degenerate interval all three values equal
-    fd.eval(a) and the report is ordered.  iv must lie inside fd's domain.
+    of numerical slack.  The integral is pre-split at the kinks of f'.  On a
+    degenerate interval all three values equal fd.eval(a) and the report is
+    ordered.  iv must lie inside fd's domain.
     """
     require_domain(fd, iv)
     if iv.is_degenerate:
         v = float(eval_elementwise(fd.eval, iv.a))
         return SandwichReport(lower=v, middle=v, upper=v, ordered=True)
     lower = float(eval_elementwise(fd.eval, iv.midpoint))
-    middle = integrate_1d(fd.eval, iv, tol).value / iv.width
+    kinks = fd.kinks_inside(iv.a, iv.b)
+    middle = integrate_1d(fd.eval, iv, tol, breakpoints=kinks).value / iv.width
     upper = 0.5 * (
         float(eval_elementwise(fd.eval, iv.a)) + float(eval_elementwise(fd.eval, iv.b))
     )
@@ -165,15 +173,27 @@ def _ratio(gap: float, bound: float) -> float:
     return math.nan if gap == 0.0 else math.inf
 
 
+def _power_mean(da: float, db: float, q: float, root) -> float:
+    """root(0.5 * (da**q + db**q)), root being the q-th root.
+
+    When the sum overflows although each power is finite, max(da, db) is
+    factored out first; every finite sum keeps the direct form's bits.
+    """
+    total, m = da**q + db**q, max(da, db)
+    if math.isinf(total) and math.isfinite(m):
+        return m * root(0.5 * ((da / m) ** q + (db / m) ** q))
+    return root(0.5 * total)
+
+
 def _bound(theorem: str, q: float, width: float, da: float, db: float) -> float:
     """The T2, T3 or KO bound from the width and the endpoint |f'| values.
 
     T3 and KO check q first, so a zero width gives 0.0 only for a valid q.
     """
     if theorem == "T2":
-        return width / math.sqrt(6.0) * math.sqrt(0.5 * (da**2 + db**2))
+        return width / math.sqrt(6.0) * _power_mean(da, db, 2, math.sqrt)
     if theorem == "T3":
-        return width * theorem3_constant(q) * (0.5 * (da**q + db**q)) ** (1.0 / q)
+        return width * theorem3_constant(q) * _power_mean(da, db, q, lambda s: s ** (1.0 / q))
     if not (math.isfinite(q) and q > 1.0):
         raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
     return 3.0 ** (1.0 - 1.0 / q) / 8.0 * width * (da + db)
@@ -190,9 +210,9 @@ def _report(
     """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q.
 
     The domain is checked first, before any evaluation.  The endpoint
-    derivatives and the gap are evaluated once, and the hypothesis scan once
-    per distinct exponent.  Each theorem checks q only after the reports
-    before it are complete, as if each were evaluated on its own.
+    derivatives and the gap are evaluated once, and the hypothesis once per
+    distinct exponent.  Each theorem checks q only after the reports before
+    it are complete, as if each were evaluated on its own.
     """
     require_domain(fd, iv)
     da = db = 0.0  # a degenerate interval: zero bounds and gap, f' unevaluated
@@ -272,10 +292,11 @@ def evaluate_case(
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
     """The T2, T3 and KO reports of one case, equal to the three public calls.
 
-    The gap and the endpoint derivatives are evaluated once, and |f'|^q is
-    scanned once per distinct exponent in {2, q}.  Errors are raised in the
-    order of bound_theorem2, bound_theorem3, bound_kirmaci_ozdemir called in
-    turn: an invalid q is reported only after the T2 report succeeds.
+    The gap and the endpoint derivatives are evaluated once, and the
+    convexity of |f'|^q is checked once per distinct exponent in {2, q}.
+    Errors are raised in the order of bound_theorem2, bound_theorem3,
+    bound_kirmaci_ozdemir called in turn: an invalid q is reported only after
+    the T2 report succeeds.
     """
     t2, t3, ko = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)
     return t2, t3, ko
@@ -312,7 +333,9 @@ def verify_identity(
     the integral mean equals ((b-a)/2) times the double integral of
     (f'(x(t)) - f'(x(s))) (m(s) - m(t)) over the unit square, where
     x(u) = u a + (1-u) b.  Both double/weighted integrals are pre-split at
-    the kernel break.  The residual carries quadrature noise of order tol.
+    the kernel break, and every integral at the kinks of f': a kink k is
+    t = (b-k)/(b-a) on the unit parameter.  The residual carries quadrature
+    noise of order tol.
     iv must lie inside fd's domain.  An unknown lemma is rejected before iv.
     """
     if lemma not in ("L1", "L2"):
@@ -322,17 +345,20 @@ def verify_identity(
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
     mid = iv.midpoint
-    mean = integrate_1d(fd.eval, iv, tol, breakpoints=(mid,)).value / iv.width
+    kinks = fd.kinks_inside(a, b)
+    mean = integrate_1d(fd.eval, iv, tol, breakpoints=(mid, *kinks)).value / iv.width
     f_mid = float(eval_elementwise(fd.eval, mid))
+    kinks_t = tuple((b - k) / (b - a) for k in kinks)
 
     def x_of(u):
         return u * a + (1.0 - u) * b
 
     if lemma == "L1":
-        left = integrate_1d(lambda t: t * fd.deriv(x_of(t)), Interval(0.0, 0.5), tol)
-        right = integrate_1d(lambda t: (t - 1.0) * fd.deriv(x_of(t)), Interval(0.5, 1.0), tol)
+        left = integrate_1d(lambda t: t * fd.deriv(x_of(t)), Interval(0.0, 0.5), tol,
+                            breakpoints=tuple(t for t in kinks_t if t < 0.5))
+        right = integrate_1d(lambda t: (t - 1.0) * fd.deriv(x_of(t)), Interval(0.5, 1.0), tol,
+                             breakpoints=tuple(t for t in kinks_t if t > 0.5))
         return abs((mean - f_mid) - iv.width * (left.value + right.value))
-    dbl = integrate_2d(
-        _lemma2_integrand(fd, x_of), tol, breakpoints_t=(0.5,), breakpoints_s=(0.5,)
-    )
+    edges = (0.5, *kinks_t)
+    dbl = integrate_2d(_lemma2_integrand(fd, x_of), tol, breakpoints_t=edges, breakpoints_s=edges)
     return abs((f_mid - mean) - 0.5 * iv.width * dbl.value)

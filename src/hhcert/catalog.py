@@ -1,8 +1,12 @@
-"""Catalog of differentiable test functions and sampled convexity checks.
+"""Catalog of differentiable test functions and their convexity hypotheses.
 
-Each catalog entry packs an evaluator, its exact derivative, and the open
-domain on which both are finite.  The convexity checker samples the secant
-inequality on a deterministic grid; a clean pass is evidence, not proof.
+Each catalog entry packs an evaluator, its exact derivative, the open domain
+on which both are finite, and the points where f' is not smooth.  Every entry
+also declares that |f'|^q is convex on its whole domain for every q >= 1, a
+fact that follows from the form of f' (see _CATALOG), so check_hypothesis
+decides that hypothesis in closed form.  The sampled secant scan,
+check_convexity, serves the hypotheses nothing is declared for (f itself, and
+hand-built descriptors); a clean pass there is evidence, not proof.
 """
 
 from __future__ import annotations
@@ -75,6 +79,10 @@ class FunctionDescriptor:
     """A catalog function: identifier, parameters, evaluator, derivative, domain.
 
     ``eval`` and ``deriv`` accept scalars or numpy arrays elementwise.
+    ``convex_deriv_powers`` declares that |f'|^q is convex on the whole
+    domain for every q >= 1; without it check_hypothesis samples the secant
+    inequality.  ``kinks`` are the points where f' is not smooth, which
+    quadrature over f or f' takes as panel edges.
     """
 
     id: str
@@ -82,6 +90,12 @@ class FunctionDescriptor:
     eval: Callable[[float], float]
     deriv: Callable[[float], float]
     domain: Domain = field(default_factory=Domain)
+    convex_deriv_powers: bool = False
+    kinks: tuple[float, ...] = ()
+
+    def kinks_inside(self, lo: float, hi: float) -> tuple[float, ...]:
+        """The kinks in the open interval (lo, hi)."""
+        return tuple(k for k in self.kinks if lo < k < hi)
 
     @property
     def label(self) -> str:
@@ -106,7 +120,8 @@ class ConvexityReport:
         return self.verdict == NO_VIOLATION
 
 
-# The hypothesis report of a degenerate interval, where no secant exists to sample.
+# The report of a hypothesis decided without sampling: a declared one, or one on
+# a degenerate interval, where no secant exists to sample.
 TRIVIAL_HYPOTHESIS = ConvexityReport(
     verdict=NO_VIOLATION, worst_violation=0.0, witness=None, samples=0
 )
@@ -131,6 +146,9 @@ def _make_pow(params: Sequence[float]) -> FunctionDescriptor:
         eval=lambda x: x**n,
         deriv=lambda x: n * x ** (n - 1),
         domain=domain,
+        # |f'|^q = |n|^q |x|^(q(n-1)): for n >= 2 a power >= 1 of |x|, for
+        # n = 1 a constant, for n <= -1 a negative power of x > 0
+        convex_deriv_powers=True,
     )
 
 
@@ -145,6 +163,9 @@ def _make_abs_pow(params: Sequence[float]) -> FunctionDescriptor:
         parameters=(r,),
         eval=lambda x: np.abs(x) ** r,
         deriv=lambda x: r * np.sign(x) * np.abs(x) ** (r - 1.0),
+        # |f'|^q = r^q |x|^(q(r-1)), a power >= 1 of |x| since r >= 2
+        convex_deriv_powers=True,
+        kinks=(0.0,),
     )
 
 
@@ -152,19 +173,24 @@ def _make_simple(fid: str, ev, dv, domain: Domain):
     def build(params: Sequence[float]) -> FunctionDescriptor:
         if params:
             raise InvalidParameter(f"{fid} takes no parameters")
-        return FunctionDescriptor(id=fid, parameters=(), eval=ev, deriv=dv, domain=domain)
+        return FunctionDescriptor(
+            id=fid, parameters=(), eval=ev, deriv=dv, domain=domain, convex_deriv_powers=True
+        )
 
     return build
 
 _POSITIVE = Domain(lower=0.0)
 
+# Every entry declares |f'|^q convex for q >= 1, by the form of |f'|^q:
 _CATALOG: dict[str, Callable[[Sequence[float]], FunctionDescriptor]] = {
-    "pow": _make_pow,
-    "exp": _make_simple("exp", np.exp, np.exp, Domain()),
-    "ln": _make_simple("ln", np.log, lambda x: 1.0 / x, _POSITIVE),
-    "recip": _make_simple("recip", lambda x: 1.0 / x, lambda x: -1.0 / x**2, _POSITIVE),
-    "neg_ln": _make_simple("neg_ln", lambda x: -np.log(x), lambda x: -1.0 / x, _POSITIVE),
-    "abs_pow": _make_abs_pow,
+    "pow": _make_pow,  # see _make_pow
+    "exp": _make_simple("exp", np.exp, np.exp, Domain()),  # e^(qx)
+    "ln": _make_simple("ln", np.log, lambda x: 1.0 / x, _POSITIVE),  # x^(-q) on x > 0
+    "recip": _make_simple(  # x^(-2q) on x > 0
+        "recip", lambda x: 1.0 / x, lambda x: -1.0 / x**2, _POSITIVE),
+    "neg_ln": _make_simple(  # x^(-q) on x > 0
+        "neg_ln", lambda x: -np.log(x), lambda x: -1.0 / x, _POSITIVE),
+    "abs_pow": _make_abs_pow,  # see _make_abs_pow
 }
 
 
@@ -201,6 +227,20 @@ def parse_function_id(text: str) -> FunctionDescriptor:
     return lookup_function(name, params)
 
 
+def _check_scan_args(iv: Interval, grid_points: int) -> None:
+    if iv.is_degenerate:
+        raise ValueError("check_convexity requires a non-degenerate interval")
+    if grid_points < 3:
+        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
+
+
+def _require_finite(values: np.ndarray, iv: Interval) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
+
+
 def check_convexity(
     g: Callable[[float], float],
     iv: Interval,
@@ -222,25 +262,17 @@ def check_convexity(
     index: the report (including the first-found witness) is that of the
     full 7-slice scan.  grid_points is capped at MAX_GRID_POINTS.
     """
-    if iv.is_degenerate:
-        raise ValueError("check_convexity requires a non-degenerate interval")
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
-    if grid_points > MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
-
+    _check_scan_args(iv, grid_points)
     xs = np.linspace(iv.a, iv.b, grid_points)
     gx = eval_elementwise(g, xs)
-    if not np.all(np.isfinite(gx)):
-        raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
+    _require_finite(gx, iv)
 
     diag = np.arange(grid_points)
     min_slack, best_k, best_flat = math.inf, 0, 0
     for k, t in enumerate(_T_GRID[: _T_HALF + 1]):
         mix = t * xs[:, None] + (1.0 - t) * xs[None, :]
         gmix = eval_elementwise(g, mix)
-        if not np.all(np.isfinite(gmix)):
-            raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
+        _require_finite(gmix, iv)
         slack = t * gx[:, None] + (1.0 - t) * gx[None, :] - gmix
         slack[diag, diag] = np.inf
         flat = int(np.argmin(slack))
@@ -270,7 +302,16 @@ def check_hypothesis(
     q: float,
     grid_points: int = 257,
 ) -> ConvexityReport:
-    """Check convexity of |f'|^q on iv for a catalog function f."""
+    """Check convexity of |f'|^q on iv, q >= 1.
+
+    For a descriptor that declares convex_deriv_powers (every catalog entry)
+    the hypothesis is proven, and the report is TRIVIAL_HYPOTHESIS once
+    |f'|^q is finite at both endpoints: a convex non-negative function is
+    largest at an endpoint, so it is then finite on all of iv.  Otherwise the
+    report is that of check_convexity on a grid_points grid.  Either way the
+    arguments are validated as for the scan, and a |f'|^q that is not finite
+    raises DomainViolation.
+    """
     if not (math.isfinite(q) and q >= 1.0):
         raise InvalidExponent(f"hypothesis exponent requires q >= 1, got q={q}")
     require_domain(fd, iv)
@@ -278,4 +319,8 @@ def check_hypothesis(
     def power_of_deriv(x):
         return np.abs(fd.deriv(x)) ** q
 
-    return check_convexity(power_of_deriv, iv, grid_points=grid_points)
+    if not fd.convex_deriv_powers:
+        return check_convexity(power_of_deriv, iv, grid_points=grid_points)
+    _check_scan_args(iv, grid_points)
+    _require_finite(eval_elementwise(power_of_deriv, np.array([iv.a, iv.b])), iv)
+    return TRIVIAL_HYPOTHESIS

@@ -15,6 +15,7 @@ recorded in the output header so sweeps can be reproduced elsewhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -339,9 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args leaves it
+    unchanged, so every call parses as a freshly built parser would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (HHCertError, ValueError, ArithmeticError) as exc:

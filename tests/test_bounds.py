@@ -83,6 +83,70 @@ class TestMidpointGap:
         assert midpoint_gap(parse_function_id("exp"), Interval(3.0, 3.0)) == 0.0
 
 
+# abs_pow:2.5 intervals around its kink at 0 where an unsplit integral missed
+# the gap by 2.5e-7 and the identities by 1.6e-8
+_KINKED_GAP = Interval(-1.3788564729135357, 1.1738956418783024)
+_KINKED_IDENTITY = Interval(-0.2539862570578202, 0.5042608607277401)
+
+
+def _abs_pow_mean(iv: Interval, r: float = 2.5):
+    mpmath = __import__("mpmath")
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(iv.a), mpmath.mpf(iv.b)
+        return mpmath.quad(lambda x: abs(x) ** r, [a, 0, b]) / (b - a)
+
+
+class TestKinks:
+    def test_gap_matches_a_reference(self):
+        iv = _KINKED_GAP
+        ref = abs(abs(iv.midpoint) ** 2.5 - _abs_pow_mean(iv))
+        assert midpoint_gap(parse_function_id("abs_pow:2.5"), iv) == pytest.approx(
+            float(ref), abs=1e-14)
+
+    def test_sandwich_mean_matches_a_reference(self):
+        rep = hh_sandwich(parse_function_id("abs_pow:2.5"), _KINKED_IDENTITY)
+        assert rep.middle == pytest.approx(float(_abs_pow_mean(_KINKED_IDENTITY)), abs=1e-13)
+
+    @pytest.mark.parametrize("lemma", ["L1", "L2"])
+    def test_identities_reach_rounding_noise(self, lemma):
+        fd = parse_function_id("abs_pow:2.5")
+        assert verify_identity(lemma, fd, _KINKED_IDENTITY) <= 1e-13
+
+    @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 0.0), Interval(1.0, 2.0)])
+    def test_kink_on_or_outside_an_endpoint_is_no_breakpoint(self, iv):
+        fd = parse_function_id("abs_pow:2.5")
+        assert midpoint_gap(fd, iv) > 0.0
+        assert hh_sandwich(fd, iv).ordered
+        assert verify_identity("L1", fd, iv) <= 1e-13
+
+    def test_kink_is_a_breakpoint_of_every_integral(self, monkeypatch):
+        seen = []
+        real_1d, real_2d = bounds.integrate_1d, bounds.integrate_2d
+
+        def spy_1d(f, iv, tol, breakpoints=()):
+            seen.append((iv.a, iv.b, tuple(breakpoints)))
+            return real_1d(f, iv, tol, breakpoints)
+
+        def spy_2d(f, tol, breakpoints_t=(), breakpoints_s=()):
+            seen.append((tuple(breakpoints_t), tuple(breakpoints_s)))
+            return real_2d(f, tol, breakpoints_t, breakpoints_s)
+
+        monkeypatch.setattr(bounds, "integrate_1d", spy_1d)
+        monkeypatch.setattr(bounds, "integrate_2d", spy_2d)
+        fd, iv = parse_function_id("abs_pow:2.5"), Interval(-1.0, 2.0)
+        midpoint_gap(fd, iv)
+        hh_sandwich(fd, iv)
+        verify_identity("L1", fd, iv)
+        verify_identity("L2", fd, iv)
+        t_k = 2.0 / 3.0  # x(t) = -t + 2(1 - t) is 0 at t = b/(b-a)
+        assert seen == [
+            (-1.0, 2.0, (0.5, 0.0)),
+            (-1.0, 2.0, (0.0,)),
+            (-1.0, 2.0, (0.5, 0.0)), (0.0, 0.5, ()), (0.5, 1.0, (t_k,)),
+            (-1.0, 2.0, (0.5, 0.0)), ((0.5, t_k), (0.5, t_k)),
+        ]
+
+
 class TestSandwich:
     def test_exp_values_and_order(self):
         rep = hh_sandwich(parse_function_id("exp"), _UNIT)
@@ -172,6 +236,23 @@ class TestTheorem2:
         for c in (0.7, -1.2):
             shifted = bound_theorem2(fd, Interval(0.3 + c, 1.1 + c), grid_points=65)
             assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)
+
+
+class TestPowerMeanOverflow:
+    # |f'(a)|^q + |f'(b)|^q overflows although each power is finite
+    @pytest.mark.parametrize("a,b,q", [(236.4, 236.5, 3.0), (354.7, 354.8, 2.0)])
+    def test_bound_is_finite_and_matches_a_reference(self, a, b, q):
+        mpmath = __import__("mpmath")
+        fd, iv = parse_function_id("exp"), Interval(a, b)
+        da, db = math.exp(a), math.exp(b)
+        t2, t3, _ = evaluate_case(fd, iv, q, grid_points=9)
+        with mpmath.workdps(40):
+            w, ma, mb = mpmath.mpf(b - a), mpmath.mpf(da), mpmath.mpf(db)
+            ref2 = w / mpmath.sqrt(6) * mpmath.sqrt((ma**2 + mb**2) / 2)
+            ref3 = w * theorem3_constant(q) * ((ma**q + mb**q) / 2) ** (1 / mpmath.mpf(q))
+        assert t2.bound == pytest.approx(float(ref2), rel=4e-16)
+        assert t3.bound == pytest.approx(float(ref3), rel=4e-16)
+        assert t3.holds and t3.ratio > 0.0
 
 
 class TestTheorem3:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from hhcert.catalog import (
     MAX_GRID_POINTS,
     NO_VIOLATION,
+    TRIVIAL_HYPOTHESIS,
     VIOLATED,
     ConvexityReport,
     Domain,
+    FunctionDescriptor,
     Interval,
     check_convexity,
     check_hypothesis,
@@ -20,6 +22,7 @@ from hhcert.catalog import (
     parse_function_id,
 )
 from hhcert._ufunc import eval_elementwise
+from hhcert.sampling import SplitMix64, draw_interval
 from hhcert.errors import (
     DomainViolation,
     InvalidExponent,
@@ -348,3 +351,70 @@ class TestCheckHypothesis:
     def test_interval_outside_domain(self):
         with pytest.raises(DomainViolation):
             check_hypothesis(lookup_function("ln"), Interval(-1.0, 1.0), 2.0)
+
+    def test_checks_in_order_before_the_closed_form(self):
+        exp = lookup_function("exp")
+        with pytest.raises(InvalidExponent):
+            check_hypothesis(lookup_function("ln"), Interval(-1.0, -1.0), 0.5, grid_points=2)
+        with pytest.raises(DomainViolation, match="not inside the domain"):
+            check_hypothesis(lookup_function("ln"), Interval(-1.0, -1.0), 2.0, grid_points=2)
+        with pytest.raises(ValueError, match="non-degenerate interval"):
+            check_hypothesis(exp, Interval(1.0, 1.0), 2.0, grid_points=2)
+        with pytest.raises(ValueError, match="grid_points must be >= 3, got 2"):
+            check_hypothesis(exp, Interval(0.0, 1.0), 2.0, grid_points=2)
+        with pytest.raises(ValueError, match="grid_points must be <= 2049, got 2050"):
+            check_hypothesis(exp, Interval(0.0, 1.0), 2.0, grid_points=2050)
+
+    def test_not_finite_at_an_endpoint_is_the_scans_domain_error(self):
+        # e^(3x) overflows at x = 240: the scan raised this on its grid
+        exp = lookup_function("exp")
+        with pytest.raises(DomainViolation) as exc:
+            check_hypothesis(exp, Interval(230.0, 240.0), 3.0)
+        assert str(exc.value) == "function not finite everywhere on [230.0, 240.0]"
+        assert check_hypothesis(exp, Interval(230.0, 236.5), 3.0) is TRIVIAL_HYPOTHESIS
+
+    def test_undeclared_descriptor_is_sampled(self):
+        # |f'|^2 = sin^2 is concave near pi/2
+        fd = FunctionDescriptor(id="neg_cos", parameters=(), eval=lambda x: -np.cos(x),
+                                deriv=np.sin)
+        assert not fd.convex_deriv_powers
+        rep = check_hypothesis(fd, Interval(0.0, 3.0), 2.0, grid_points=65)
+        assert rep.verdict == VIOLATED
+        assert rep.samples == 7 * 65 * 64
+
+
+# Every catalog entry: each declares |f'|^q convex for q >= 1.
+_CATALOG_LABELS = (
+    "exp", "ln", "neg_ln", "recip", "pow:1", "pow:2", "pow:3", "pow:4", "pow:5",
+    "pow:-1", "pow:-2", "pow:-3", "abs_pow:2", "abs_pow:2.5", "abs_pow:3.7",
+)
+
+
+@pytest.mark.parametrize("label", _CATALOG_LABELS)
+def test_declared_hypothesis_agrees_with_the_sampled_scan(label):
+    # The oracle scans |f'|^q divided by its larger endpoint value, a positive
+    # constant that keeps convexity: the scan's tolerance is absolute, and
+    # unscaled values up to 1e28 would drown it in rounding.
+    fd = parse_function_id(label)
+    assert fd.convex_deriv_powers
+    lo, hi = (0.1, 10.0) if fd.domain.lower == 0.0 else (-3.0, 3.0)
+    rng = SplitMix64(20100)
+    for _ in range(6):
+        iv = draw_interval(rng, lo, hi, fd.domain)
+        for q in (1.0, 1.5, 2.0, 3.0, 7.0):
+            assert check_hypothesis(fd, iv, q) is TRIVIAL_HYPOTHESIS
+
+            def g(x, q=q):
+                return np.abs(fd.deriv(x)) ** q
+
+            scale = max(float(g(iv.a)), float(g(iv.b)))
+            rep = check_convexity(lambda x: g(x) / scale, iv, grid_points=33)
+            assert rep.verdict == NO_VIOLATION, (iv, q, rep)
+
+
+def test_kinks_inside_is_the_open_interval():
+    fd = lookup_function("abs_pow", [2.5])
+    assert fd.kinks == (0.0,)
+    assert fd.kinks_inside(-1.0, 2.0) == (0.0,)
+    assert fd.kinks_inside(0.0, 2.0) == fd.kinks_inside(-1.0, 0.0) == ()
+    assert lookup_function("exp").kinks_inside(-1.0, 1.0) == ()

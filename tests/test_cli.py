@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from hhcert import cli
+from hhcert import bounds, catalog, cli
 from hhcert.catalog import MAX_GRID_POINTS
 
 _SCHEMA_KEYS = [
@@ -476,3 +476,129 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_sweep_scans_nothing_and_verify_scans_only_f(monkeypatch, capsys):
+    scanned = []
+    real = catalog.check_convexity
+
+    def counting(g, iv, *args, **kwargs):
+        scanned.append(g)
+        return real(g, iv, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "check_convexity", counting)
+    monkeypatch.setattr(bounds, "check_convexity", counting)
+    fd_eval = catalog.parse_function_id("pow:3").eval
+    assert cli.main(["sweep", "--fn", "pow:3", "--cases", "5", "--q", "3"]) == 0
+    assert scanned == []
+    assert cli.main(["verify", "--fn", "pow:3", "--interval", "0", "2", "--q", "3"]) == 0
+    assert len(scanned) == 1 and scanned[0].__code__ is fd_eval.__code__
+
+
+# T2/T3/KO hypotheses that the sampled scan flagged as violated on rounding
+# noise alone (|g| times eps above its absolute 1e-12); the HH row's own
+# scan of f is unchanged.
+@pytest.mark.parametrize(
+    "argv,hh",
+    [
+        (["verify", "--fn", "exp", "--interval", "5", "5.000001", "--q", "3"],
+         "no-violation-found"),
+        (["verify", "--fn", "exp", "--interval", "8", "8.0000001", "--q", "3"], "violated"),
+        (["verify", "--fn", "pow:4", "--interval", "1000", "1000.0001"], "violated"),
+    ],
+)
+def test_bound_hypotheses_are_decided_in_closed_form(capsys, argv, hh):
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    verdicts = [rec["hypothesis_verdict"] for rec in json.loads(out)["records"]]
+    assert verdicts == ["no-violation-found"] * 3 + [hh]
+
+
+@pytest.mark.parametrize("a", ["118.29711881556399", "236.35764339349686"])
+def test_no_domain_error_from_a_secant_point_past_b(capsys, a):
+    # the scan's t = 3/8 secant point of (b, b) rounded one ulp above b,
+    # where e^(3x) overflows
+    code, out = _run(capsys, ["verify", "--fn", "exp", "--interval", a, "236.59423763112798",
+                              "--q", "3", "--format", "json"])
+    assert code == 0
+    for rec in json.loads(out)["records"]:
+        assert rec["hypothesis_verdict"] == "no-violation-found" and rec["holds"]
+        assert math.isfinite(rec["bound"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fn", "exp", "--interval", "236.4", "236.5", "--q", "3"],
+        ["verify", "--fn", "exp", "--interval", "354.7", "354.8"],
+    ],
+)
+def test_power_mean_overflow_prints_a_finite_bound(capsys, argv):
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    for rec in json.loads(out)["records"][:3]:
+        assert math.isfinite(rec["bound"]) and rec["ratio"] > 0.0
+
+
+def test_kinked_sweep_gap_is_converged_to_its_reference(capsys):
+    # case 3 is [-1.3788564729135357, 1.1738956418783024]; its reference gap
+    # is 0.5373455266843635, which the unsplit integral missed by 2.5e-7
+    code, out = _run(capsys, ["sweep", "--fn", "abs_pow:2.5", "--cases", "4", "--format", "csv",
+                              "--seed", "1091258408269961877", "--interval-range", "-2", "2"])
+    assert code == 0
+    gap = float(out.splitlines()[11].split(",")[5])
+    assert gap == pytest.approx(0.5373455266843635, abs=1e-14)
+
+
+class TestParser:
+    _ARGVS = [
+        ["verify", "--fn", "exp", "--interval", "0", "1"],
+        ["sweep", "--fn", "ln", "--cases", "3", "--q", "3", "--interval-range", "1", "2"],
+        ["sweep", "--fn", "ln"],
+        ["identity", "--lemma", "2", "--fn", "pow:3", "--interval", "-1", "2", "--format", "csv"],
+        ["kernel", "--p", "2", "--tol", "1e-12"],
+        ["means", "--a", "1", "--b", "2", "--p", "3", "--variant", "as-printed"],
+        ["means", "--a", "1", "--b", "2"],
+        ["verify", "--fn", "exp", "--interval", "0", "1", "--q", "3", "--grid-points", "9"],
+    ]
+
+    def test_repeated_and_interleaved_calls_parse_as_a_fresh_parser(self):
+        for argv in self._ARGVS + self._ARGVS[::-1] + self._ARGVS:
+            got = cli._parser().parse_args(argv)
+            assert vars(got) == vars(cli.build_parser().parse_args(argv))
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert cli.main(["means", "--a", "1", "--b", "2"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["verify", "--help"], ["sweep", "-h"], [], ["verify"], ["bogus"],
+         ["sweep", "--fn", "exp", "--cases", "x"], ["means", "--a", "1", "--b", "2",
+                                                   "--variant", "bad"],
+         ["identity", "--lemma", "3", "--fn", "exp", "--interval", "0", "1"]],
+        ids=lambda argv: " ".join(argv) or "no-args",
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        cli.main(["means", "--a", "1", "--b", "2"])  # the cached parser has parsed before
+        capsys.readouterr()
+        assert outcome(cli.main) == outcome(cli.build_parser().parse_args)
