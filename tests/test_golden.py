@@ -5,17 +5,23 @@ status in ``_CASES``; every JSON output must parse, and every CSV row must
 have as many fields as the header.  A change that alters any printed byte
 must say so in CHANGES.md and regenerate the files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    python tests/test_golden.py
+
+Every golden command line runs in one subprocess under PINNED_ENV, which
+selects numpy's AVX2 kernels and OpenBLAS's Haswell kernels on any x86 CPU
+that has them.  Quadrature sums go through those kernels, so without the pin
+the last printed digit of some integrals depends on the machine.  The test
+and the regeneration share that subprocess, so they compare like with like.
 """
 
-import contextlib
-import io
+import functools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
-
-from hhcert import cli
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
@@ -71,18 +77,49 @@ _CASES = {
 }
 
 
-def _run(argv):
+PINNED_ENV = {
+    "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# Reads [[key, argv], ...] on stdin and writes {key: [exit status, stdout]}.
+_CAPTURE = """
+import contextlib, io, json, sys
+from hhcert import cli
+runs = {}
+for key, argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    return code, out.getvalue()
+    runs[key] = [code, out.getvalue()]
+json.dump(runs, sys.stdout)
+"""
+
+
+@functools.cache
+def _outputs() -> dict:
+    """(exit status, stdout) of every case and format, all run in one pinned subprocess."""
+    runs = [[f"{name}.{fmt}", argv + ["--format", fmt]]
+            for name, (argv, _) in sorted(_CASES.items()) for fmt in FORMATS]
+    path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPTURE],
+        input=json.dumps(runs),
+        env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {key: tuple(result) for key, result in json.loads(proc.stdout).items()}
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_output_matches_golden(name, fmt):
-    argv, status = _CASES[name]
-    code, out = _run(argv + ["--format", fmt])
+    code, out = _outputs()[f"{name}.{fmt}"]
+    status = _CASES[name][1]
     golden = (GOLDEN_DIR / f"{name}.{FORMATS[fmt]}").read_bytes()
     assert code == status
     assert out.encode() == golden
@@ -96,8 +133,7 @@ def test_output_matches_golden(name, fmt):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (argv, _) in sorted(_CASES.items()):
-        for fmt, ext in FORMATS.items():
-            code, out = _run(argv + ["--format", fmt])
-            (GOLDEN_DIR / f"{name}.{ext}").write_bytes(out.encode())
-            print(f"{name}.{ext}: exit {code}")
+    for key, (code, out) in _outputs().items():
+        name, fmt = key.rsplit(".", 1)
+        (GOLDEN_DIR / f"{name}.{FORMATS[fmt]}").write_bytes(out.encode())
+        print(f"{name}.{FORMATS[fmt]}: exit {code}")
