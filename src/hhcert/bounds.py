@@ -18,10 +18,11 @@ functions and samples it for hand-built descriptors, and reports the verdict
 alongside the bound; a bound is computed even when the hypothesis check
 fails, since the gap/bound comparison is still informative.  evaluate_case
 gives all three reports of one case and shares the gap and the hypothesis
-checks between them, and hh_report gives the Hermite-Hadamard sandwich as a
-fourth report, whose hypothesis (f convex) is always sampled.
+checks between them, and verify_case adds the Hermite-Hadamard sandwich and
+its report, whose hypothesis (f convex) is always sampled.
 
-Every integral of f or f' is split at the kinks of f' inside its range.
+One integral of f per case, split at the midpoint and the kinks of f', feeds
+every gap, sandwich and identity; integrals of f' are split at the kinks too.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -106,65 +107,46 @@ class SandwichReport:
     ordered: bool
 
 
-def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
-    """Absolute midpoint-rule error of the integral mean of fd over iv.
+def _f_mid_and_mean(fd: FunctionDescriptor, iv: Interval, tol: float) -> tuple[float, float]:
+    """f(m) and the integral mean of f over a non-degenerate iv: the one integral of f
+    per case, pre-split at the midpoint and at the kinks of f'."""
+    kinks = fd.kinks_inside(iv.a, iv.b)
+    integral = integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint, *kinks))
+    return float(eval_elementwise(fd.eval, iv.midpoint)), integral.value / iv.width
 
-    The integral is pre-split at the midpoint and the kinks of f'; a
-    degenerate interval gives exactly zero.
+
+def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
+    """Absolute midpoint-rule error |f(m) - mean| of fd over iv.
+
+    A degenerate interval gives exactly zero.  iv must lie inside fd's domain.
     """
+    require_domain(fd, iv)
     if iv.is_degenerate:
         return 0.0
-    integral = integrate_1d(
-        fd.eval, iv, tol, breakpoints=(iv.midpoint, *fd.kinks_inside(iv.a, iv.b))
-    )
-    return abs(float(eval_elementwise(fd.eval, iv.midpoint)) - integral.value / iv.width)
+    f_mid, mean = _f_mid_and_mean(fd, iv, tol)
+    return abs(f_mid - mean)
+
+
+def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> SandwichReport:
+    """The sandwich from values = (f(m), mean); all three are f(a) when values is None."""
+    fa = float(eval_elementwise(fd.eval, iv.a))
+    if values is None:
+        return SandwichReport(lower=fa, middle=fa, upper=fa, ordered=True)
+    lower, middle = values
+    upper = 0.5 * (fa + float(eval_elementwise(fd.eval, iv.b)))
+    ordered = lower <= middle + ORDER_SLACK and middle <= upper + ORDER_SLACK
+    return SandwichReport(lower=lower, middle=middle, upper=upper, ordered=ordered)
 
 
 def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> SandwichReport:
     """Evaluate midpoint value <= integral mean <= endpoint average.
 
     The ordering holds for convex fd; each comparison is allowed ORDER_SLACK
-    of numerical slack.  The integral is pre-split at the kinks of f'.  On a
-    degenerate interval all three values equal fd.eval(a) and the report is
-    ordered.  iv must lie inside fd's domain.
+    of numerical slack.  On a degenerate interval all three values equal
+    fd.eval(a) and the report is ordered.  iv must lie inside fd's domain.
     """
     require_domain(fd, iv)
-    if iv.is_degenerate:
-        v = float(eval_elementwise(fd.eval, iv.a))
-        return SandwichReport(lower=v, middle=v, upper=v, ordered=True)
-    lower = float(eval_elementwise(fd.eval, iv.midpoint))
-    kinks = fd.kinks_inside(iv.a, iv.b)
-    middle = integrate_1d(fd.eval, iv, tol, breakpoints=kinks).value / iv.width
-    upper = 0.5 * (
-        float(eval_elementwise(fd.eval, iv.a)) + float(eval_elementwise(fd.eval, iv.b))
-    )
-    ordered = lower <= middle + ORDER_SLACK and middle <= upper + ORDER_SLACK
-    return SandwichReport(lower=lower, middle=middle, upper=upper, ordered=ordered)
-
-
-def hh_report(
-    fd: FunctionDescriptor,
-    iv: Interval,
-    tol: float = 1e-10,
-    grid_points: int = 257,
-) -> tuple[SandwichReport, BoundReport]:
-    """hh_sandwich of fd on iv, and the same result as an "HH" BoundReport.
-
-    The report's hypothesis is the sampled convexity scan of f itself (trivial
-    on a degenerate interval).  Its gap is the worst ordering violation,
-    clamped at 0, and its bound ORDER_SLACK, so that holds == (gap <= bound)
-    reproduces ``ordered`` exactly.
-    """
-    sandwich = hh_sandwich(fd, iv, tol)
-    if iv.is_degenerate:
-        convexity = TRIVIAL_HYPOTHESIS
-    else:
-        convexity = check_convexity(fd.eval, iv, grid_points)
-    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
-    return sandwich, BoundReport(
-        gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
-        hypothesis=convexity, holds=sandwich.ordered,
-    )
+    return _sandwich(fd, iv, None if iv.is_degenerate else _f_mid_and_mean(fd, iv, tol))
 
 
 def _ratio(gap: float, bound: float) -> float:
@@ -206,27 +188,29 @@ def _report(
     q: float,
     tol: float,
     grid_points: int,
-) -> list[BoundReport]:
-    """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q.
+) -> tuple[list[BoundReport], tuple[float, float] | None]:
+    """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q,
+    and the (f(m), mean) pair they read, None on a degenerate interval.
 
     The domain is checked first, before any evaluation.  The endpoint
-    derivatives and the gap are evaluated once, and the hypothesis once per
-    distinct exponent.  Each theorem checks q only after the reports before
-    it are complete, as if each were evaluated on its own.
+    derivatives and the integral are evaluated once, and the hypothesis once
+    per distinct exponent.  Each theorem checks q only after the reports
+    before it are complete, as if each were evaluated on its own.
     """
     require_domain(fd, iv)
-    da = db = 0.0  # a degenerate interval: zero bounds and gap, f' unevaluated
+    da = db = 0.0  # a degenerate interval: zero bounds and gap, f and f' unevaluated
     if not iv.is_degenerate:
         da = abs(float(eval_elementwise(fd.deriv, iv.a)))
         db = abs(float(eval_elementwise(fd.deriv, iv.b)))
-    gap = None
+    values = None
     hypotheses: dict[float, ConvexityReport] = {}
     reports = []
     for theorem in theorems:
         bound = _bound(theorem, q, iv.width, da, db)
         hyp_q = 2.0 if theorem == "T2" else q
-        if gap is None:
-            gap = midpoint_gap(fd, iv, tol)
+        if values is None and not iv.is_degenerate:
+            values = _f_mid_and_mean(fd, iv, tol)
+        gap = abs(values[0] - values[1]) if values else 0.0
         if hyp_q not in hypotheses:
             hypotheses[hyp_q] = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_hypothesis(
                 fd, iv, hyp_q, grid_points=grid_points
@@ -240,7 +224,7 @@ def _report(
             hypothesis=hypotheses[hyp_q],
             holds=gap <= bound + HOLDS_SLACK,
         ))
-    return reports
+    return reports, values
 
 
 def bound_theorem2(
@@ -250,7 +234,7 @@ def bound_theorem2(
     grid_points: int = 257,
 ) -> BoundReport:
     """Quadratic-mean bound on the midpoint gap; hypothesis |f'|^2 convex."""
-    return _report(fd, iv, ("T2",), 2.0, tol, grid_points)[0]
+    return _report(fd, iv, ("T2",), 2.0, tol, grid_points)[0][0]
 
 
 def bound_theorem3(
@@ -265,7 +249,7 @@ def bound_theorem3(
     At q = 2 this reduces to the quadratic-mean bound of bound_theorem2.
     """
     _bound("T3", q, 0.0, 0.0, 0.0)  # q is checked before the domain
-    return _report(fd, iv, ("T3",), q, tol, grid_points)[0]
+    return _report(fd, iv, ("T3",), q, tol, grid_points)[0][0]
 
 
 def bound_kirmaci_ozdemir(
@@ -280,7 +264,7 @@ def bound_kirmaci_ozdemir(
     The same q feeds both the constant and the convexity hypothesis check.
     """
     _bound("KO", q, 0.0, 0.0, 0.0)  # q is checked before the domain
-    return _report(fd, iv, ("KO",), q, tol, grid_points)[0]
+    return _report(fd, iv, ("KO",), q, tol, grid_points)[0][0]
 
 
 def evaluate_case(
@@ -298,8 +282,29 @@ def evaluate_case(
     bound_kirmaci_ozdemir called in turn: an invalid q is reported only after
     the T2 report succeeds.
     """
-    t2, t3, ko = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)
-    return t2, t3, ko
+    return tuple(_report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)[0])
+
+
+def verify_case(
+    fd: FunctionDescriptor,
+    iv: Interval,
+    q: float,
+    tol: float = 1e-10,
+    grid_points: int = 257,
+) -> tuple[SandwichReport, tuple[BoundReport, ...]]:
+    """The sandwich of one case and its T2, T3, KO and HH reports, from one integral of f.
+
+    The first three are evaluate_case's, errors included.  HH's hypothesis is the
+    sampled convexity scan of f (trivial on a degenerate interval), its gap the worst
+    ordering violation clamped at 0, and its bound ORDER_SLACK, so (gap <= bound) == ordered.
+    """
+    reports, values = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)
+    sandwich = _sandwich(fd, iv, values)
+    convexity = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_convexity(fd.eval, iv, grid_points)
+    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
+    hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
+                     hypothesis=convexity, holds=sandwich.ordered)
+    return sandwich, (*reports, hh)
 
 
 def _lemma2_integrand(fd: FunctionDescriptor, x_of):
@@ -344,11 +349,8 @@ def verify_identity(
     if iv.is_degenerate:
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
-    mid = iv.midpoint
-    kinks = fd.kinks_inside(a, b)
-    mean = integrate_1d(fd.eval, iv, tol, breakpoints=(mid, *kinks)).value / iv.width
-    f_mid = float(eval_elementwise(fd.eval, mid))
-    kinks_t = tuple((b - k) / (b - a) for k in kinks)
+    f_mid, mean = _f_mid_and_mean(fd, iv, tol)
+    kinks_t = tuple((b - k) / (b - a) for k in fd.kinks_inside(a, b))
 
     def x_of(u):
         return u * a + (1.0 - u) * b

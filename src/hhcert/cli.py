@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import sampling
-from .bounds import evaluate_case, hh_report, verify_identity
+from .bounds import evaluate_case, verify_case, verify_identity
 from .catalog import NO_VIOLATION, FunctionDescriptor, Interval, parse_function_id
 from .errors import HHCertError
 from .kernel import kernel_m, kernel_p_moment, kernel_p_norm
@@ -112,8 +112,8 @@ def _emit(args, meta: dict, records, columns, headline: str, lines) -> None:
         sys.stdout.write(headline + "\n" + "".join(f"  {line}\n" for line in lines))
 
 
-def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, report) -> dict:
-    return {
+def _bound_records(case_id: int, fd: FunctionDescriptor, iv: Interval, reports) -> list[dict]:
+    return [{
         "case_id": case_id,
         "function": fd.label,
         "a": iv.a,
@@ -125,12 +125,7 @@ def _bound_record(case_id: int, fd: FunctionDescriptor, iv: Interval, report) ->
         "ratio": report.ratio,
         "hypothesis_verdict": report.hypothesis.verdict,
         "holds": report.holds,
-    }
-
-
-def _case_records(case_id: int, fd: FunctionDescriptor, iv: Interval, args) -> list[dict]:
-    reports = evaluate_case(fd, iv, args.q, args.tol, args.grid_points)
-    return [_bound_record(case_id, fd, iv, report) for report in reports]
+    } for report in reports]
 
 
 def _bound_lines(records: list[dict]):
@@ -147,9 +142,8 @@ def _exit_from_records(records: list[dict]) -> int:
 def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
     iv = Interval(args.interval[0], args.interval[1])
-    records = _case_records(0, fd, iv, args)
-    sandwich, hh = hh_report(fd, iv, args.tol, args.grid_points)
-    records.append(_bound_record(0, fd, iv, hh))
+    sandwich, reports = verify_case(fd, iv, args.q, args.tol, args.grid_points)
+    records = _bound_records(0, fd, iv, reports)
     meta = {
         "command": "verify",
         "function": fd.label,
@@ -174,7 +168,9 @@ def cmd_sweep(args) -> int:
     rng = SplitMix64(args.seed)
     records: list[dict] = []
     for case_id in range(args.cases):
-        records += _case_records(case_id, fd, draw_interval(rng, lo, hi, fd.domain), args)
+        iv = draw_interval(rng, lo, hi, fd.domain)
+        records += _bound_records(
+            case_id, fd, iv, evaluate_case(fd, iv, args.q, args.tol, args.grid_points))
     meta = {
         "command": "sweep",
         "rng": sampling.ALGORITHM,

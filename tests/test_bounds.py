@@ -1,6 +1,7 @@
 """Gap evaluation, the three endpoint-derivative bounds, and the identities."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,10 @@ from hhcert.bounds import (
     bound_theorem3,
     conjugate_of,
     evaluate_case,
-    hh_report,
     hh_sandwich,
     midpoint_gap,
     theorem3_constant,
+    verify_case,
     verify_identity,
 )
 from hhcert.catalog import VIOLATED, Interval, check_convexity, parse_function_id
@@ -82,6 +83,56 @@ class TestMidpointGap:
     def test_degenerate(self):
         assert midpoint_gap(parse_function_id("exp"), Interval(3.0, 3.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "label,a,b", [("ln", 0.0, 1.0), ("ln", -1.0, -1.0), ("recip", -1.0, 1.0)]
+    )
+    def test_outside_domain_raises(self, label, a, b):
+        # checked before the degenerate shortcut and before any evaluation
+        with pytest.raises(DomainViolation, match=f"not inside the domain of {label}"):
+            midpoint_gap(parse_function_id(label), Interval(a, b))
+
+
+_CATALOG_LABELS = (
+    "exp", "ln", "neg_ln", "recip", "pow:1", "pow:2", "pow:3", "pow:4", "pow:5",
+    "pow:-1", "pow:-2", "pow:-3", "abs_pow:2", "abs_pow:2.5", "abs_pow:3.7",
+)
+
+
+def _seeded_intervals(label: str, n: int = 4) -> list[Interval]:
+    lo, hi = (0.1, 10.0) if parse_function_id(label).domain.lower == 0.0 else (-3.0, 3.0)
+    rng = random.Random(label)
+    return [Interval(*sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))) for _ in range(n)]
+
+
+_ONE_INTEGRAL_CASES = [(label, iv) for label in _CATALOG_LABELS for iv in _seeded_intervals(label)]
+_ONE_INTEGRAL_CASES += [
+    ("abs_pow:2.5", Interval(-1.0, 2.0)),  # the kink inside the interval
+    ("abs_pow:2.5", Interval(-2.0, 2.0)),  # the kink at the midpoint
+    ("abs_pow:3.7", Interval(-0.3, 1.7)),
+    ("exp", Interval(1.0, 1.0)),
+]
+
+
+class TestOneIntegralPerCase:
+    """Every gap and the sandwich read the same f(m) and integral mean, bit for bit."""
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize(
+        "label,iv", _ONE_INTEGRAL_CASES, ids=[f"{lb}-{iv.a!r}-{iv.b!r}" for lb, iv in
+                                              _ONE_INTEGRAL_CASES]
+    )
+    def test_gaps_are_read_off_the_sandwich(self, label, iv, q):
+        fd = parse_function_id(label)
+        sandwich, (*rows, hh) = verify_case(fd, iv, q, grid_points=9)
+        assert [r.theorem for r in rows] == ["T2", "T3", "KO"]
+        for rep in rows:
+            assert rep.gap == abs(sandwich.lower - sandwich.middle)
+        assert hh.gap == max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper,
+                             0.0)
+        assert midpoint_gap(fd, iv) == rows[0].gap
+        assert hh_sandwich(fd, iv) == sandwich
+        assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
+
 
 # abs_pow:2.5 intervals around its kink at 0 where an unsplit integral missed
 # the gap by 2.5e-7 and the identities by 1.6e-8
@@ -141,7 +192,7 @@ class TestKinks:
         t_k = 2.0 / 3.0  # x(t) = -t + 2(1 - t) is 0 at t = b/(b-a)
         assert seen == [
             (-1.0, 2.0, (0.5, 0.0)),
-            (-1.0, 2.0, (0.0,)),
+            (-1.0, 2.0, (0.5, 0.0)),
             (-1.0, 2.0, (0.5, 0.0)), (0.0, 0.5, ()), (0.5, 1.0, (t_k,)),
             (-1.0, 2.0, (0.5, 0.0)), ((0.5, t_k), (0.5, t_k)),
         ]
@@ -172,10 +223,13 @@ class TestSandwich:
 
 
 class TestHHReport:
+    """The HH row that verify_case adds after the T2, T3 and KO rows."""
+
     @pytest.mark.parametrize("label,a,b", [("exp", 0.0, 1.0), ("ln", 1.0, 3.0)])
     def test_sandwich_as_a_bound_row(self, label, a, b):
         fd, iv = parse_function_id(label), Interval(a, b)
-        sandwich, rep = hh_report(fd, iv, grid_points=33)
+        sandwich, reports = verify_case(fd, iv, 2.0, grid_points=33)
+        rep = reports[-1]
         assert sandwich == hh_sandwich(fd, iv)
         assert rep.theorem == "HH"
         assert rep.bound == bounds.ORDER_SLACK
@@ -185,12 +239,13 @@ class TestHHReport:
         assert rep.hypothesis == check_convexity(fd.eval, iv, 33)
 
     def test_concave_function_is_flagged(self):
-        _, rep = hh_report(parse_function_id("ln"), Interval(1.0, 3.0), grid_points=33)
+        rep = verify_case(parse_function_id("ln"), Interval(1.0, 3.0), 2.0, grid_points=33)[1][-1]
         assert rep.hypothesis.verdict == VIOLATED
         assert not rep.holds
 
     def test_degenerate_is_trivial(self):
-        sandwich, rep = hh_report(parse_function_id("exp"), Interval(2.0, 2.0))
+        sandwich, reports = verify_case(parse_function_id("exp"), Interval(2.0, 2.0), 2.0)
+        rep = reports[-1]
         assert sandwich.ordered and rep.holds
         assert rep.gap == rep.ratio == 0.0
         assert rep.hypothesis.ok and rep.hypothesis.samples == 0
@@ -198,7 +253,7 @@ class TestHHReport:
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 1.0)])
     def test_outside_domain_raises(self, a, b):
         with pytest.raises(DomainViolation, match="not inside the domain of ln"):
-            hh_report(parse_function_id("ln"), Interval(a, b))
+            verify_case(parse_function_id("ln"), Interval(a, b), 2.0)
 
 
 class TestTheorem2:
@@ -327,18 +382,18 @@ class TestEvaluateCase:
     @pytest.mark.parametrize("q,scans", [(2.0, [2.0]), (3.0, [2.0, 3.0])])
     def test_one_gap_and_one_scan_per_exponent(self, monkeypatch, q, scans):
         hyp_qs, gaps = [], []
-        real_hyp, real_gap = bounds.check_hypothesis, bounds.midpoint_gap
+        real_hyp, real_1d = bounds.check_hypothesis, bounds.integrate_1d
 
         def counting_hyp(fd, iv, hyp_q, **kwargs):
             hyp_qs.append(hyp_q)
             return real_hyp(fd, iv, hyp_q, **kwargs)
 
-        def counting_gap(*args):
+        def counting_1d(*args, **kwargs):
             gaps.append(args)
-            return real_gap(*args)
+            return real_1d(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "check_hypothesis", counting_hyp)
-        monkeypatch.setattr(bounds, "midpoint_gap", counting_gap)
+        monkeypatch.setattr(bounds, "integrate_1d", counting_1d)
         evaluate_case(parse_function_id("pow:3"), _UNIT, q, grid_points=33)
         assert hyp_qs == scans
         assert len(gaps) == 1
@@ -378,7 +433,8 @@ class TestEvaluateCase:
         fd = parse_function_id("exp")
         reports = evaluate_case(fd, iv, q=3, grid_points=9)
         assert [(r.theorem, r.q) for r in reports] == [("T2", 2), ("T3", 3), ("KO", 3)]
-        assert hh_report(fd, iv, grid_points=9)[1].q is None
+        _, rows = verify_case(fd, iv, 3, grid_points=9)
+        assert [(r.theorem, r.q) for r in rows] == [("T2", 2), ("T3", 3), ("KO", 3), ("HH", None)]
 
 
 class TestIdentities:

@@ -495,6 +495,34 @@ def test_sweep_scans_nothing_and_verify_scans_only_f(monkeypatch, capsys):
     assert len(scanned) == 1 and scanned[0].__code__ is fd_eval.__code__
 
 
+@pytest.mark.parametrize(
+    "argv,cases",
+    [
+        (["verify", "--fn", "exp", "--interval", "0", "1"], 1),
+        (["verify", "--fn", "abs_pow:2.5", "--interval", "-1", "2", "--q", "3"], 1),
+        (["verify", "--fn", "exp", "--interval", "1", "1"], 0),
+        (["sweep", "--fn", "ln", "--cases", "5", "--q", "3"], 5),
+        (["sweep", "--fn", "abs_pow:2.5", "--cases", "4", "--interval-range", "-2", "2"], 4),
+    ],
+)
+def test_one_integral_of_f_per_case(monkeypatch, capsys, argv, cases):
+    # the T rows' gap and the sandwich's mean come from one integral
+    integrands = []
+    real = bounds.integrate_1d
+
+    def counting(g, *args, **kwargs):
+        integrands.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate_1d", counting)
+    assert cli.main(argv + ["--grid-points", "9"]) == 0
+    # f itself: a catalog lambda is rebuilt per parse, so compare its code
+    fd_eval = catalog.parse_function_id(argv[2]).eval
+    assert len(integrands) == cases
+    assert all(getattr(g, "__code__", g) is getattr(fd_eval, "__code__", fd_eval)
+               for g in integrands)
+
+
 # T2/T3/KO hypotheses that the sampled scan flagged as violated on rounding
 # noise alone (|g| times eps above its absolute 1e-12); the HH row's own
 # scan of f is unchanged.
