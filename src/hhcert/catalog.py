@@ -227,13 +227,18 @@ def parse_function_id(text: str) -> FunctionDescriptor:
     return lookup_function(name, params)
 
 
-def _check_scan_args(iv: Interval, grid_points: int) -> None:
-    if iv.is_degenerate:
-        raise ValueError("check_convexity requires a non-degenerate interval")
+def check_grid_points(grid_points: int) -> None:
+    """Raise ValueError unless 3 <= grid_points <= MAX_GRID_POINTS."""
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
+
+
+def _check_scan_args(iv: Interval, grid_points: int) -> None:
+    if iv.is_degenerate:
+        raise ValueError("check_convexity requires a non-degenerate interval")
+    check_grid_points(grid_points)
 
 
 def _require_finite(values: np.ndarray, iv: Interval) -> None:

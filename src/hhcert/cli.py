@@ -22,7 +22,14 @@ import sys
 
 from . import sampling
 from .bounds import evaluate_case, verify_case, verify_identity
-from .catalog import NO_VIOLATION, FunctionDescriptor, Interval, parse_function_id
+from .catalog import (
+    NO_VIOLATION,
+    FunctionDescriptor,
+    Interval,
+    check_grid_points,
+    parse_function_id,
+    require_domain,
+)
 from .errors import HHCertError
 from .kernel import kernel_m, kernel_p_moment, kernel_p_norm
 from .means import (
@@ -33,8 +40,8 @@ from .means import (
     mean_logarithmic,
     mean_p_logarithmic,
 )
-from .quadrature import integrate_2d
-from .sampling import SplitMix64, draw_interval
+from .quadrature import check_tol, integrate_2d
+from .sampling import SplitMix64, draw_interval, sampling_range
 
 EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
@@ -139,9 +146,17 @@ def _exit_from_records(records: list[dict]) -> int:
     return EXIT_OK
 
 
+def _check_options(args) -> None:
+    """Check --tol and --grid-points before any evaluation, also where no case reads them."""
+    check_tol(args.tol)
+    check_grid_points(args.grid_points)
+
+
 def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
     iv = Interval(args.interval[0], args.interval[1])
+    require_domain(fd, iv)  # a domain error still comes before an option error
+    _check_options(args)
     sandwich, reports = verify_case(fd, iv, args.q, args.tol, args.grid_points)
     records = _bound_records(0, fd, iv, reports)
     meta = {
@@ -165,6 +180,8 @@ def cmd_sweep(args) -> int:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
     lo, hi = args.interval_range
+    sampling_range(lo, hi, fd.domain)
+    _check_options(args)
     rng = SplitMix64(args.seed)
     records: list[dict] = []
     for case_id in range(args.cases):

@@ -80,7 +80,8 @@ def _clean_breakpoints(pts: Sequence[float], a: float, b: float) -> list[float]:
     return sorted(set(out))
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a positive, finite absolute tolerance."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -281,7 +282,7 @@ def integrate_1d(
     at a quadrature node; an integrand too rough for the depth budget comes
     back with converged=False instead.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if iv.is_degenerate:
         return QuadratureResult(0.0, 0.0, 0, True)
     edges = [iv.a, *_clean_breakpoints(breakpoints, iv.a, iv.b), iv.b]
@@ -325,10 +326,10 @@ def integrate_2d(
     hand with per-node breakpoints when full accuracy matters there.
     """
     # checks in the order the outer, then the first inner, integral meets them
-    _check_tol(tol)
+    check_tol(tol)
     s_edges = [0.0, *_clean_breakpoints(breakpoints_s, 0.0, 1.0), 1.0]
     inner_tol = tol / 10.0
-    _check_tol(inner_tol)
+    check_tol(inner_tol)
     t_edges = [0.0, *_clean_breakpoints(breakpoints_t, 0.0, 1.0), 1.0]
     levels = []
 

@@ -45,14 +45,12 @@ class SplitMix64:
 MIN_WIDTH = 1e-6
 
 
-def draw_interval(rng: SplitMix64, lo: float, hi: float, domain: Domain) -> Interval:
-    """Draw an interval with endpoints uniform in [lo, hi), ordered.
+def sampling_range(lo: float, hi: float, domain: Domain) -> tuple[float, float]:
+    """[lo, hi] intersected with the open domain.
 
-    The range is intersected with the open function domain; draws narrower
-    than MIN_WIDTH or touching a domain boundary are rejected and redrawn so
-    every returned interval is usable as-is.  The intersection must be finite
-    and at least 2 * MIN_WIDTH wide, so that each draw is accepted with
-    probability at least 1/4 and the loop ends.
+    Raises ValueError unless the intersection is finite and at least
+    2 * MIN_WIDTH wide, so that each draw of draw_interval is accepted with
+    probability at least 1/4 and its loop ends.
     """
     lo = max(lo, domain.lower)
     hi = min(hi, domain.upper)
@@ -62,6 +60,17 @@ def draw_interval(rng: SplitMix64, lo: float, hi: float, domain: Domain) -> Inte
         raise ValueError(
             f"sampling range [{lo}, {hi}] must be finite and at least {2.0 * MIN_WIDTH:g} wide"
         )
+    return lo, hi
+
+
+def draw_interval(rng: SplitMix64, lo: float, hi: float, domain: Domain) -> Interval:
+    """Draw an interval with endpoints uniform in [lo, hi), ordered.
+
+    The range is intersected with the open function domain by sampling_range;
+    draws narrower than MIN_WIDTH or touching a domain boundary are rejected
+    and redrawn so every returned interval is usable as-is.
+    """
+    lo, hi = sampling_range(lo, hi, domain)
     while True:
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)

@@ -17,12 +17,14 @@ from hhcert.catalog import (
     FunctionDescriptor,
     Interval,
     check_convexity,
+    check_grid_points,
     check_hypothesis,
     lookup_function,
     parse_function_id,
 )
 from hhcert._ufunc import eval_elementwise
-from hhcert.sampling import SplitMix64, draw_interval
+from hhcert.quadrature import check_tol
+from hhcert.sampling import SplitMix64, draw_interval, sampling_range
 from hhcert.errors import (
     DomainViolation,
     InvalidExponent,
@@ -418,3 +420,27 @@ def test_kinks_inside_is_the_open_interval():
     assert fd.kinks_inside(-1.0, 2.0) == (0.0,)
     assert fd.kinks_inside(0.0, 2.0) == fd.kinks_inside(-1.0, 0.0) == ()
     assert lookup_function("exp").kinks_inside(-1.0, 1.0) == ()
+
+
+class TestOptionValidators:
+    """The checks the CLI runs on its options before any evaluation."""
+
+    @pytest.mark.parametrize("grid", [3, 257, MAX_GRID_POINTS])
+    def test_grid_points_in_range_pass(self, grid):
+        check_grid_points(grid)
+
+    @pytest.mark.parametrize("grid", [-1, 0, 2, MAX_GRID_POINTS + 1])
+    def test_grid_points_out_of_range_raise(self, grid):
+        with pytest.raises(ValueError, match="grid_points must be"):
+            check_grid_points(grid)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            check_tol(tol)
+
+    def test_sampling_range_is_intersected_with_the_domain(self):
+        assert sampling_range(-5.0, 5.0, Domain(lower=0.0)) == (0.0, 5.0)
+        assert sampling_range(-5.0, 5.0, Domain()) == (-5.0, 5.0)
+        with pytest.raises(ValueError, match="empty sampling range"):
+            sampling_range(-5.0, -1.0, Domain(lower=0.0))

@@ -340,6 +340,47 @@ class TestMeans:
         assert code == 2
 
 
+# Options that no evaluation read (a degenerate interval, no sweep cases) and
+# that exited 0; the unknown function, a malformed interval and the domain
+# are still reported first.
+_UNREAD_OPTIONS = [
+    (["verify", "--fn", "exp", "--interval", "1", "1", "--tol", "0", "--grid-points", "5000"],
+     "tol must be positive and finite, got 0.0"),
+    (["verify", "--fn", "exp", "--interval", "1", "1", "--tol", "nan"],
+     "tol must be positive and finite, got nan"),
+    (["verify", "--fn", "exp", "--interval", "1", "1", "--grid-points", "5000"],
+     "grid_points must be <= 2049, got 5000"),
+    (["verify", "--fn", "exp", "--interval", "2", "2", "--grid-points", "2"],
+     "grid_points must be >= 3, got 2"),
+    (["sweep", "--fn", "exp", "--cases", "0", "--tol", "-1", "--interval-range", "5", "1"],
+     "empty sampling range [5.0, 1.0]"),
+    (["sweep", "--fn", "exp", "--cases", "0", "--tol", "-1"],
+     "tol must be positive and finite, got -1.0"),
+    (["sweep", "--fn", "exp", "--cases", "0", "--grid-points", "2050"],
+     "grid_points must be <= 2049, got 2050"),
+    (["sweep", "--fn", "exp", "--cases", "0", "--interval-range", "0", "0.0000001"],
+     "sampling range [0.0, 1e-07] must be finite and at least 2e-06 wide"),
+    (["sweep", "--fn", "ln", "--cases", "0", "--interval-range", "-5", "-1"],
+     "empty sampling range [0.0, -1.0]"),
+    (["sweep", "--fn", "nosuch", "--cases", "-1", "--tol", "-1"],
+     "unknown function 'nosuch'; available: abs_pow, exp, ln, neg_ln, pow, recip"),
+    (["sweep", "--fn", "exp", "--cases", "-1", "--tol", "-1"], "cases must be >= 0, got -1"),
+    (["verify", "--fn", "nosuch", "--interval", "1", "1", "--tol", "0"],
+     "unknown function 'nosuch'; available: abs_pow, exp, ln, neg_ln, pow, recip"),
+    (["verify", "--fn", "exp", "--interval", "2", "1", "--tol", "0"],
+     "interval endpoints out of order: [2.0, 1.0]"),
+    (["verify", "--fn", "ln", "--interval", "-1", "-1", "--tol", "0"],
+     "[-1.0, -1.0] is not inside the domain of ln"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _UNREAD_OPTIONS, ids=[" ".join(a) for a, _ in _UNREAD_OPTIONS])
+def test_every_option_is_checked_before_any_work(capsys, argv, err):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
