@@ -22,6 +22,7 @@ positive and makes the inequality vacuous; as-derived uses |ln(A/I)|.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds import HOLDS_SLACK, theorem3_constant
@@ -151,6 +152,44 @@ def _require_q(q) -> float:
     return float(q)
 
 
+def _direct_rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
+    width = b - a
+    if prop == "P1":
+        base = _avg(a ** (2 * (n - 1)), b ** (2 * (n - 1)))
+        if variant == "as-derived":
+            base = math.sqrt(base)
+        return abs(n) * width / math.sqrt(6.0) * base
+    if prop == "P2":
+        return abs(n) * width * norm * _avg(a ** (q * (n - 1)), b ** (q * (n - 1))) ** (1.0 / q)
+    if prop == "P3":
+        return width / (a * b) * norm * _avg(b**q, a**q) ** (1.0 / q)
+    return width / (a * b) ** 2 * norm * _avg(a ** (2.0 * q), b ** (2.0 * q)) ** (1.0 / q)
+
+
+def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
+    """The rhs of prop at a < b, in its direct form wherever that is a normal float.
+
+    Where the direct form underflows (a**(2q) is 0 at a = 1e-60, q = 3),
+    overflows or divides by an underflowed (a*b)**2, b's binary exponent k is
+    factored out instead: the rhs is homogeneous in (a, b), of degree n (P1
+    as-derived, P2), 2n - 1 (P1 as-printed), 0 (P3) or -1 (P4), so it is the
+    rhs at (a, b) / 2^k, an exact scaling, times 2^(k * degree).
+    """
+    try:
+        rhs = _direct_rhs(prop, a, b, n, q, norm, variant)
+        if sys.float_info.min <= rhs < math.inf:
+            return rhs
+    except ZeroDivisionError:
+        pass
+    if prop == "P1":
+        degree = n if variant == "as-derived" else 2 * n - 1
+    else:
+        degree = {"P2": n, "P3": 0, "P4": -1}[prop]
+    k = math.frexp(b)[1]
+    scaled = _direct_rhs(prop, math.ldexp(a, -k), math.ldexp(b, -k), n, q, norm, variant)
+    return math.ldexp(scaled, k * degree)
+
+
 def check_proposition(
     prop: str,
     mp: MeanPair,
@@ -173,32 +212,24 @@ def check_proposition(
         return PropositionReport(prop, 0.0, 0.0, True, variant)
 
     a, b = mp.a, mp.b
-    width = b - a
     A = mean_arithmetic(mp)
-
+    norm = None
     if prop == "P1":
         n = _require_n(n)
         lhs = abs(A**n - _power_integral_mean(a, b, n))
-        base = _avg(a ** (2 * (n - 1)), b ** (2 * (n - 1)))
-        if variant == "as-derived":
-            base = math.sqrt(base)
-        rhs = abs(n) * width / math.sqrt(6.0) * base
     elif prop == "P2":
         n = _require_n(n)
         q = _require_q(q)
         norm = theorem3_constant(q)
         lhs = abs(_avg(a**n, b**n) - _power_integral_mean(a, b, n))
-        rhs = abs(n) * width * norm * _avg(a ** (q * (n - 1)), b ** (q * (n - 1))) ** (1.0 / q)
     elif prop == "P3":
         q = _require_q(q)
         norm = theorem3_constant(q)
         ident = mean_identric(mp)
         lhs = math.log(ident / A) if variant == "as-printed" else abs(math.log(A / ident))
-        rhs = width / (a * b) * norm * _avg(b**q, a**q) ** (1.0 / q)
     else:  # P4
         q = _require_q(q)
         norm = theorem3_constant(q)
         lhs = abs(1.0 / A - 1.0 / mean_logarithmic(mp))
-        rhs = width / (a * b) ** 2 * norm * _avg(a ** (2.0 * q), b ** (2.0 * q)) ** (1.0 / q)
-
+    rhs = _rhs(prop, a, b, n, q, norm, variant)
     return PropositionReport(prop, lhs, rhs, lhs <= rhs + HOLDS_SLACK, variant)

@@ -328,6 +328,18 @@ class TestMeans:
         for item in ("A", "L", "I"):
             assert a <= float(table[item][1]) <= b
 
+    @pytest.mark.parametrize(
+        "argv", [["--a", "1e-60", "--b", "2e-60", "--q", "3"],
+                 ["--a", "1e-110", "--b", "2e-110", "--q", "3"]]
+    )
+    def test_underflowing_rhs_exits_0(self, capsys, argv):
+        # P4 printed rhs=0 holds=false (exit 1), and at 1e-110 divided by zero (exit 2)
+        code, out = _run(capsys, ["means", *argv, "--format", "csv"])
+        assert code == 0
+        rows = {ln.split(",")[0]: ln.split(",") for ln in out.splitlines()[1:]}
+        assert all(float(rows[p][3]) > 0.0 and rows[p][5] == "true"
+                   for p in ("P1", "P2", "P3", "P4"))
+
     def test_tol_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["means", "--a", "1", "--b", "2", "--tol", "-5"])

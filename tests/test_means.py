@@ -216,3 +216,57 @@ class TestConsistencyWithBounds:
         assert rep.rhs == pytest.approx(
             bound_theorem3(fd, iv, q=q, grid_points=33).bound, rel=1e-12
         )
+
+
+def _rhs_reference(prop: str, a: float, b: float, n: int, q: float) -> float:
+    """The as-derived rhs of P1..P4 at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b, q = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(q)
+        p = q / (q - 1)
+        norm = (2 / ((p + 1) * (p + 2))) ** (1 / p)
+
+        def power_mean(s, r):
+            return ((a**s + b**s) / 2) ** r
+
+        width = b - a
+        return float({
+            "P1": abs(n) * width / mpmath.sqrt(6) * power_mean(2 * (n - 1), mpmath.mpf(0.5)),
+            "P2": abs(n) * width * norm * power_mean(q * (n - 1), 1 / q),
+            "P3": width / (a * b) * norm * power_mean(q, 1 / q),
+            "P4": width / (a * b) ** 2 * norm * power_mean(2 * q, 1 / q),
+        }[prop])
+
+
+# Pairs whose direct rhs underflows: a**(2q) is 0 for P4 at 1e-60 (it printed
+# rhs=0 and holds=false), and at 1e-110 P2/P3 printed rhs=0 for q = 3 and
+# P4's (a*b)**2 divided by zero.
+@pytest.mark.parametrize(
+    "a,b,q", [(1e-60, 2e-60, 3.0), (1e-110, 2e-110, 2.0), (1e-110, 2e-110, 3.0)]
+)
+def test_underflowing_rhs_matches_a_50_digit_reference(a, b, q):
+    mp = MeanPair(a, b)
+    for prop in ("P1", "P2", "P3", "P4"):
+        rep = check_proposition(prop, mp, n=2, q=q)
+        assert rep.holds, prop
+        assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, 2, q), rel=1e-14), prop
+
+
+def test_underflowing_printed_p1_rhs_scales_with_its_own_degree():
+    # as printed, P1's rhs lacks the square root: degree 2n - 1, not n
+    a, b, n = 1e-60, 2e-60, 5
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        ref = float(n * (mb - ma) / mpmath.sqrt(6) * (ma ** (2 * n - 2) + mb ** (2 * n - 2)) / 2)
+    rep = check_proposition("P1", MeanPair(a, b), n=n, variant="as-printed")
+    assert rep.rhs == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 4.0), (3.0, 6.0), (0.1, 9.7)])
+@pytest.mark.parametrize("n", [-3, -1, 1, 2, 3])
+def test_direct_rhs_matches_a_50_digit_reference(a, b, n):
+    mp = MeanPair(a, b)
+    for prop in ("P1", "P2", "P3", "P4"):
+        rep = check_proposition(prop, mp, n=n, q=3.0)
+        assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, n, 3.0), rel=1e-13), prop
