@@ -177,10 +177,10 @@ def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
     """
     try:
         rhs = _direct_rhs(prop, a, b, n, q, norm, variant)
-        if sys.float_info.min <= rhs < math.inf:
-            return rhs
     except ZeroDivisionError:
-        pass
+        rhs = 0.0
+    if sys.float_info.min <= rhs < math.inf:
+        return rhs
     if prop == "P1":
         degree = n if variant == "as-derived" else 2 * n - 1
     else:
