@@ -180,7 +180,7 @@ def cmd_sweep(args) -> int:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
     lo, hi = args.interval_range
-    sampling_range(lo, hi, fd.domain)
+    sampling_range(lo, hi, fd.domain)  # raises on an unusable range, also at --cases 0
     _check_options(args)
     rng = SplitMix64(args.seed)
     records: list[dict] = []
