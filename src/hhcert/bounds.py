@@ -43,12 +43,13 @@ from .catalog import (
     FunctionDescriptor,
     Interval,
     check_convexity,
+    check_grid_points,
     check_hypothesis,
     require_domain,
 )
 from .errors import InvalidExponent
 from .kernel import kernel_m, kernel_p_norm
-from .quadrature import integrate_1d, integrate_2d
+from .quadrature import check_tol, integrate_1d, integrate_2d
 
 HOLDS_SLACK = 1e-12
 ORDER_SLACK = 1e-10
@@ -188,16 +189,20 @@ def _report(
     q: float,
     tol: float,
     grid_points: int,
-) -> tuple[list[BoundReport], tuple[float, float] | None]:
-    """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q,
-    and the (f(m), mean) pair they read, None on a degenerate interval.
+    read: list | None = None,
+) -> list[BoundReport]:
+    """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q.
 
-    The domain is checked first, before any evaluation.  The endpoint
-    derivatives and the integral are evaluated once, and the hypothesis once
-    per distinct exponent.  Each theorem checks q only after the reports
-    before it are complete, as if each were evaluated on its own.
+    The domain, tol and grid_points are checked first, before any evaluation.
+    The endpoint derivatives and the integral are evaluated once, and the
+    hypothesis once per distinct exponent.  Each theorem checks q only after
+    the reports before it are complete, as if each were evaluated on its own.
+    The (f(m), mean) pair the gaps read is appended to read, if given, unless
+    iv is degenerate.
     """
     require_domain(fd, iv)
+    check_tol(tol)
+    check_grid_points(grid_points)
     da = db = 0.0  # a degenerate interval: zero bounds and gap, f and f' unevaluated
     if not iv.is_degenerate:
         da = abs(float(eval_elementwise(fd.deriv, iv.a)))
@@ -224,7 +229,9 @@ def _report(
             hypothesis=hypotheses[hyp_q],
             holds=gap <= bound + HOLDS_SLACK,
         ))
-    return reports, values
+    if read is not None and values is not None:
+        read.append(values)
+    return reports
 
 
 def bound_theorem2(
@@ -234,7 +241,7 @@ def bound_theorem2(
     grid_points: int = 257,
 ) -> BoundReport:
     """Quadratic-mean bound on the midpoint gap; hypothesis |f'|^2 convex."""
-    return _report(fd, iv, ("T2",), 2.0, tol, grid_points)[0][0]
+    return _report(fd, iv, ("T2",), 2.0, tol, grid_points)[0]
 
 
 def bound_theorem3(
@@ -249,7 +256,7 @@ def bound_theorem3(
     At q = 2 this reduces to the quadratic-mean bound of bound_theorem2.
     """
     _bound("T3", q, 0.0, 0.0, 0.0)  # q is checked before the domain
-    return _report(fd, iv, ("T3",), q, tol, grid_points)[0][0]
+    return _report(fd, iv, ("T3",), q, tol, grid_points)[0]
 
 
 def bound_kirmaci_ozdemir(
@@ -264,7 +271,7 @@ def bound_kirmaci_ozdemir(
     The same q feeds both the constant and the convexity hypothesis check.
     """
     _bound("KO", q, 0.0, 0.0, 0.0)  # q is checked before the domain
-    return _report(fd, iv, ("KO",), q, tol, grid_points)[0][0]
+    return _report(fd, iv, ("KO",), q, tol, grid_points)[0]
 
 
 def evaluate_case(
@@ -282,7 +289,7 @@ def evaluate_case(
     bound_kirmaci_ozdemir called in turn: an invalid q is reported only after
     the T2 report succeeds.
     """
-    return tuple(_report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)[0])
+    return tuple(_report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points))
 
 
 def verify_case(
@@ -298,8 +305,9 @@ def verify_case(
     sampled convexity scan of f (trivial on a degenerate interval), its gap the worst
     ordering violation clamped at 0, and its bound ORDER_SLACK, so (gap <= bound) == ordered.
     """
-    reports, values = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points)
-    sandwich = _sandwich(fd, iv, values)
+    read: list[tuple[float, float]] = []
+    reports = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points, read)
+    sandwich = _sandwich(fd, iv, read[0] if read else None)
     convexity = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_convexity(fd.eval, iv, grid_points)
     gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
     hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,

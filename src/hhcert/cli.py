@@ -28,7 +28,6 @@ from .catalog import (
     Interval,
     check_grid_points,
     parse_function_id,
-    require_domain,
 )
 from .errors import HHCertError
 from .kernel import kernel_m, kernel_p_moment, kernel_p_norm
@@ -146,17 +145,9 @@ def _exit_from_records(records: list[dict]) -> int:
     return EXIT_OK
 
 
-def _check_options(args) -> None:
-    """Check --tol and --grid-points before any evaluation, also where no case reads them."""
-    check_tol(args.tol)
-    check_grid_points(args.grid_points)
-
-
 def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
     iv = Interval(args.interval[0], args.interval[1])
-    require_domain(fd, iv)  # a domain error still comes before an option error
-    _check_options(args)
     sandwich, reports = verify_case(fd, iv, args.q, args.tol, args.grid_points)
     records = _bound_records(0, fd, iv, reports)
     meta = {
@@ -180,8 +171,10 @@ def cmd_sweep(args) -> int:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
     lo, hi = args.interval_range
-    sampling_range(lo, hi, fd.domain)  # raises on an unusable range, also at --cases 0
-    _check_options(args)
+    # checked here too, since --cases 0 evaluates no case that would check them
+    sampling_range(lo, hi, fd.domain)
+    check_tol(args.tol)
+    check_grid_points(args.grid_points)
     rng = SplitMix64(args.seed)
     records: list[dict] = []
     for case_id in range(args.cases):

@@ -12,6 +12,8 @@ selects numpy's AVX2 kernels and OpenBLAS's Haswell kernels on any x86 CPU
 that has them.  Quadrature sums go through those kernels, so without the pin
 the last printed digit of some integrals depends on the machine.  The test
 and the regeneration share that subprocess, so they compare like with like.
+As under pytest's filterwarnings, a RuntimeWarning there is an error, and any
+output on stderr fails the test.
 """
 
 import functools
@@ -104,14 +106,14 @@ def _outputs() -> dict:
             for name, (argv, _) in sorted(_CASES.items()) for fmt in FORMATS]
     path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPTURE],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _CAPTURE],
         input=json.dumps(runs),
         env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=600,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
     return {key: tuple(result) for key, result in json.loads(proc.stdout).items()}
 
 
