@@ -21,8 +21,11 @@ gives all three reports of one case and shares the gap and the hypothesis
 checks between them, and verify_case adds the Hermite-Hadamard sandwich and
 its report, whose hypothesis (f convex) is always sampled.
 
-One integral of f per case, split at the midpoint and the kinks of f', feeds
-every gap, sandwich and identity; integrals of f' are split at the kinks too.
+_case_values owns a case's f(m) and its signed gaps d1 = mean - f(m) and
+d2 = (f(a)+f(b))/2 - mean, which every gap, sandwich and identity reads.
+Catalog functions declare the gaps in closed form, so they integrate nothing
+for them.  A hand-built descriptor gets one integral of f, split at the
+midpoint and the kinks of f'; integrals of f' are split at the kinks too.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -45,6 +48,7 @@ from .catalog import (
     check_convexity,
     check_grid_points,
     check_hypothesis,
+    finite_gap,
     require_domain,
 )
 from .errors import InvalidExponent
@@ -108,46 +112,64 @@ class SandwichReport:
     ordered: bool
 
 
-def _f_mid_and_mean(fd: FunctionDescriptor, iv: Interval, tol: float) -> tuple[float, float]:
-    """f(m) and the integral mean of f over a non-degenerate iv: the one integral of f
-    per case, pre-split at the midpoint and at the kinks of f'."""
+def _case_values(
+    fd: FunctionDescriptor, iv: Interval, tol: float
+) -> tuple[float, float, float, float | None]:
+    """(f(m), mean, d1, d2) over a non-degenerate iv, d1 = mean - f(m) and
+    d2 = (f(a)+f(b))/2 - mean: the one owner of a case's gaps.
+
+    A descriptor that declares gaps gives d1 and d2 in closed form, and the
+    mean is f(m) + d1.  Otherwise one integral of f, pre-split at the midpoint
+    and at the kinks of f', gives the mean, d1 is mean - f(m), and d2 is None:
+    the sandwich takes it from f(a) and f(b).  A d1 or mean out of the float
+    range raises OverflowError.
+    """
+    if fd.gaps is not None:
+        d1, d2 = fd.gaps(iv.a, iv.b)
+        f_mid = float(eval_elementwise(fd.eval, iv.midpoint))
+        return f_mid, finite_gap(f_mid + finite_gap(d1)), d1, d2
     kinks = fd.kinks_inside(iv.a, iv.b)
     integral = integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint, *kinks))
-    return float(eval_elementwise(fd.eval, iv.midpoint)), integral.value / iv.width
+    f_mid, mean = float(eval_elementwise(fd.eval, iv.midpoint)), integral.value / iv.width
+    return f_mid, mean, mean - f_mid, None
 
 
 def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
     """Absolute midpoint-rule error |f(m) - mean| of fd over iv.
 
     A degenerate interval gives exactly zero.  iv must lie inside fd's domain.
+    tol is the quadrature tolerance of a descriptor without declared gaps.
     """
     require_domain(fd, iv)
     if iv.is_degenerate:
         return 0.0
-    f_mid, mean = _f_mid_and_mean(fd, iv, tol)
-    return abs(f_mid - mean)
+    return abs(_case_values(fd, iv, tol)[2])
 
 
-def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> SandwichReport:
-    """The sandwich from values = (f(m), mean); all three are f(a) when values is None."""
+def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> tuple[SandwichReport, float]:
+    """The sandwich from values = _case_values(...), and its worst ordering
+    violation max(-d1, -d2, 0), which decides ordered; all three values are
+    f(a) when values is None."""
     fa = float(eval_elementwise(fd.eval, iv.a))
     if values is None:
-        return SandwichReport(lower=fa, middle=fa, upper=fa, ordered=True)
-    lower, middle = values
+        return SandwichReport(lower=fa, middle=fa, upper=fa, ordered=True), 0.0
+    lower, middle, d1, d2 = values
     upper = 0.5 * (fa + float(eval_elementwise(fd.eval, iv.b)))
-    ordered = lower <= middle + ORDER_SLACK and middle <= upper + ORDER_SLACK
-    return SandwichReport(lower=lower, middle=middle, upper=upper, ordered=ordered)
+    violation = max(-d1, -(upper - middle if d2 is None else finite_gap(d2)), 0.0)
+    sandwich = SandwichReport(lower=lower, middle=middle, upper=upper,
+                              ordered=violation <= ORDER_SLACK)
+    return sandwich, violation
 
 
 def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> SandwichReport:
     """Evaluate midpoint value <= integral mean <= endpoint average.
 
-    The ordering holds for convex fd; each comparison is allowed ORDER_SLACK
-    of numerical slack.  On a degenerate interval all three values equal
+    The ordering holds for convex fd; it is reported when neither signed gap
+    is below -ORDER_SLACK.  On a degenerate interval all three values equal
     fd.eval(a) and the report is ordered.  iv must lie inside fd's domain.
     """
     require_domain(fd, iv)
-    return _sandwich(fd, iv, None if iv.is_degenerate else _f_mid_and_mean(fd, iv, tol))
+    return _sandwich(fd, iv, None if iv.is_degenerate else _case_values(fd, iv, tol))[0]
 
 
 def _ratio(gap: float, bound: float) -> float:
@@ -194,11 +216,11 @@ def _report(
     """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q.
 
     The domain, tol and grid_points are checked first, before any evaluation.
-    The endpoint derivatives and the integral are evaluated once, and the
+    The endpoint derivatives and the case values are evaluated once, and the
     hypothesis once per distinct exponent.  Each theorem checks q only after
     the reports before it are complete, as if each were evaluated on its own.
-    The (f(m), mean) pair the gaps read is appended to read, if given, unless
-    iv is degenerate.
+    The case values the gaps read are appended to read, if given, unless iv
+    is degenerate.
     """
     require_domain(fd, iv)
     check_tol(tol)
@@ -214,8 +236,8 @@ def _report(
         bound = _bound(theorem, q, iv.width, da, db)
         hyp_q = 2.0 if theorem == "T2" else q
         if values is None and not iv.is_degenerate:
-            values = _f_mid_and_mean(fd, iv, tol)
-        gap = abs(values[0] - values[1]) if values else 0.0
+            values = _case_values(fd, iv, tol)
+        gap = abs(values[2]) if values else 0.0
         if hyp_q not in hypotheses:
             hypotheses[hyp_q] = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_hypothesis(
                 fd, iv, hyp_q, grid_points=grid_points
@@ -299,17 +321,17 @@ def verify_case(
     tol: float = 1e-10,
     grid_points: int = 257,
 ) -> tuple[SandwichReport, tuple[BoundReport, ...]]:
-    """The sandwich of one case and its T2, T3, KO and HH reports, from one integral of f.
+    """The sandwich of one case and its T2, T3, KO and HH reports, from one set of case values.
 
     The first three are evaluate_case's, errors included.  HH's hypothesis is the
     sampled convexity scan of f (trivial on a degenerate interval), its gap the worst
-    ordering violation clamped at 0, and its bound ORDER_SLACK, so (gap <= bound) == ordered.
+    ordering violation max(-d1, -d2, 0), and its bound ORDER_SLACK, so its holds is
+    the sandwich's ordered.
     """
-    read: list[tuple[float, float]] = []
+    read: list[tuple] = []
     reports = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points, read)
-    sandwich = _sandwich(fd, iv, read[0] if read else None)
+    sandwich, gap = _sandwich(fd, iv, read[0] if read else None)
     convexity = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_convexity(fd.eval, iv, grid_points)
-    gap = max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper, 0.0)
     hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
                      hypothesis=convexity, holds=sandwich.ordered)
     return sandwich, (*reports, hh)
@@ -347,8 +369,9 @@ def verify_identity(
     (f'(x(t)) - f'(x(s))) (m(s) - m(t)) over the unit square, where
     x(u) = u a + (1-u) b.  Both double/weighted integrals are pre-split at
     the kernel break, and every integral at the kinks of f': a kink k is
-    t = (b-k)/(b-a) on the unit parameter.  The residual carries quadrature
-    noise of order tol.
+    t = (b-k)/(b-a) on the unit parameter.  The lhs is the case's signed
+    midpoint gap (closed form for catalog functions), and the residual
+    carries quadrature noise of order tol.
     iv must lie inside fd's domain.  An unknown lemma is rejected before iv.
     """
     if lemma not in ("L1", "L2"):
@@ -357,7 +380,7 @@ def verify_identity(
     if iv.is_degenerate:
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
-    f_mid, mean = _f_mid_and_mean(fd, iv, tol)
+    d1 = _case_values(fd, iv, tol)[2]
     kinks_t = tuple((b - k) / (b - a) for k in fd.kinks_inside(a, b))
 
     def x_of(u):
@@ -368,7 +391,7 @@ def verify_identity(
                             breakpoints=tuple(t for t in kinks_t if t < 0.5))
         right = integrate_1d(lambda t: (t - 1.0) * fd.deriv(x_of(t)), Interval(0.5, 1.0), tol,
                              breakpoints=tuple(t for t in kinks_t if t > 0.5))
-        return abs((mean - f_mid) - iv.width * (left.value + right.value))
+        return abs(d1 - iv.width * (left.value + right.value))
     edges = (0.5, *kinks_t)
     dbl = integrate_2d(_lemma2_integrand(fd, x_of), tol, breakpoints_t=edges, breakpoints_s=edges)
-    return abs((f_mid - mean) - 0.5 * iv.width * dbl.value)
+    return abs(-d1 - 0.5 * iv.width * dbl.value)

@@ -7,11 +7,21 @@ fact that follows from the form of f' (see _CATALOG), so check_hypothesis
 decides that hypothesis in closed form.  The sampled secant scan,
 check_convexity, serves the hypotheses nothing is declared for (f itself, and
 hand-built descriptors); a clean pass there is evidence, not proof.
+
+Every entry also declares its signed gaps over [a, b]: the midpoint gap
+mean - f(m) and the trapezoid gap (f(a)+f(b))/2 - mean, where m = (a+b)/2,
+h = (b-a)/2 and mean is the integral mean of f.  They are computed without
+subtracting nearly equal numbers: from the even Taylor terms of f about m
+(_taylor_gaps) while h, or x = h/m, is small, and from the difference quotient
+of an antiderivative beyond that.  x^n is rational in a and b for n outside
+{0, -1}, so its gaps are computed exactly in integers and rounded once.
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,6 +42,15 @@ SCAN_TOL = 1e-12
 
 # Largest accepted grid: one scan slice is MAX_GRID_POINTS**2 floats (34 MB).
 MAX_GRID_POINTS = 2049
+
+# Declared gaps sum the Taylor series while x = h/m <= _SERIES_MAX_X (and
+# r x <= _SERIES_MAX_RX for |x|^r, whose terms first grow like (r x)^k / k!),
+# or for exp while h <= _SERIES_MAX_H.  Beyond these the difference quotient
+# of an antiderivative loses a few ulps to cancellation: the worst relative
+# error of a gap in tests/test_gaps.py is 16 eps.
+_SERIES_MAX_X = 0.6
+_SERIES_MAX_RX = 4.0
+_SERIES_MAX_H = 2.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +101,11 @@ class FunctionDescriptor:
     ``convex_deriv_powers`` declares that |f'|^q is convex on the whole
     domain for every q >= 1; without it check_hypothesis samples the secant
     inequality.  ``kinks`` are the points where f' is not smooth, which
-    quadrature over f or f' takes as panel edges.
+    quadrature over f or f' takes as panel edges.  ``gaps(a, b)``, for
+    a < b inside the domain, declares the signed pair (mean - f(m),
+    (f(a)+f(b))/2 - mean); a value that leaves the float range is inf or nan,
+    or raises OverflowError, and readers pass it through finite_gap.  Without
+    it the gaps come from quadrature of f.
     """
 
     id: str
@@ -92,6 +115,7 @@ class FunctionDescriptor:
     domain: Domain = field(default_factory=Domain)
     convex_deriv_powers: bool = False
     kinks: tuple[float, ...] = ()
+    gaps: Callable[[float, float], tuple[float, float]] | None = None
 
     def kinks_inside(self, lo: float, hi: float) -> tuple[float, ...]:
         """The kinks in the open interval (lo, hi)."""
@@ -127,6 +151,138 @@ TRIVIAL_HYPOTHESIS = ConvexityReport(
 )
 
 
+def finite_gap(value: float) -> float:
+    """A declared gap, checked: inf and nan mean the gap left the float range,
+    which raises OverflowError(ERANGE), as an overflowing float power does."""
+    if not math.isfinite(value):
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return value
+
+
+def _taylor_gaps(t2: float, ratio: Callable[[int], float]) -> tuple[float, float]:
+    """The signed gaps from the even Taylor terms t_k = f^(k)(m) h^k / k!, k >= 2.
+
+    The integral mean is f(m) + sum t_k/(k+1) and (f(a)+f(b))/2 is
+    f(m) + sum t_k, so the gaps are sum t_k/(k+1) and sum k t_k/(k+1).  The
+    caller gives t_2 and t_(k+2)/t_k = ratio(k); the sums stop at the first
+    term that changes neither, so a zero term ends a finite sum.
+    """
+    d1 = d2 = 0.0
+    t, k = t2, 2
+    while True:
+        n1, n2 = d1 + t / (k + 1), d2 + t * k / (k + 1)
+        if n1 == d1 and n2 == d2:
+            return d1, d2
+        d1, d2, t, k = n1, n2, t * ratio(k), k + 2
+
+
+def _log_ratio(u: float, v: float) -> float:
+    """ln(u/v) for u, v > 0, also where u/v leaves the float range."""
+    r = u / v
+    return math.log(r) if 0.0 < r < math.inf else math.log(u) - math.log(v)
+
+
+def _exp_gaps(a: float, b: float) -> tuple[float, float]:
+    # e^m (sinh h/h - 1) and e^m (cosh h - sinh h/h).  e^m is taken at the exact
+    # midpoint: s + err = a + b exactly (two-sum), and e^(err/2) = 1 + err/2.
+    s = a + b
+    bv = s - a
+    err = (a - (s - bv)) + (b - bv)
+    em = math.exp(0.5 * s) * (1.0 + 0.5 * err)
+    h = 0.5 * (b - a)
+    if h <= _SERIES_MAX_H:
+        y = h * h
+        return _taylor_gaps(0.5 * em * y, lambda k: y / ((k + 1) * (k + 2)))
+    ea, eb = math.exp(a), math.exp(b)
+    mean = (eb - ea) / (b - a)
+    return mean - em, 0.5 * (ea + eb) - mean
+
+
+def _ln_gaps(a: float, b: float) -> tuple[float, float]:
+    # -sum x^(2j) / (2j (2j+1)) and -(atanh(x)/x - 1), x = h/m
+    m = 0.5 * (a + b)
+    x = 0.5 * (b - a) / m
+    if x <= _SERIES_MAX_X:
+        y = x * x
+        return _taylor_gaps(-0.5 * y, lambda k: y * k / (k + 2))
+    w = (b - a) / m
+    d1 = (b / m * math.log(b / m) - a / m * _log_ratio(a, m)) / w - 1.0
+    return d1, 1.0 - _log_ratio(b, a) / w
+
+
+def _neg_ln_gaps(a: float, b: float) -> tuple[float, float]:
+    d1, d2 = _ln_gaps(a, b)
+    return -d1, -d2
+
+
+def _recip_gaps(a: float, b: float) -> tuple[float, float]:
+    # (atanh(x)/x - 1)/m and (x^2/(1-x^2) - atanh(x)/x + 1)/m, x = h/m
+    m = 0.5 * (a + b)
+    x = 0.5 * (b - a) / m
+    if x <= _SERIES_MAX_X:
+        y = x * x
+        return _taylor_gaps(y / m, lambda k: y)
+    mean = _log_ratio(b, a) / (b - a)
+    return mean - 1.0 / m, 0.5 * (1.0 / a + 1.0 / b) - mean
+
+
+def _quotient(num: int, den: int) -> float:
+    """num/den rounded once, den > 0; +-inf where it leaves the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _power_gaps(n: int) -> Callable[[float, float], tuple[float, float]]:
+    """Gaps of x^n for n outside {0, -1}, exact: the mean is
+    (b^(n+1) - a^(n+1)) / ((n+1)(b-a)), rational in a and b.  Over the
+    common scale q, a power of 2 with a = A/q and b = B/q, every term is an
+    integer and each gap one quotient."""
+    k = -n
+
+    def gaps(a: float, b: float) -> tuple[float, float]:
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        q = max(da, db)
+        A, B = na * (q // da), nb * (q // db)
+        if n > 0:
+            # mean = s / (den q^n), f(m) = (A+B)^n / (2q)^n, f(a), f(b) = A^n, B^n / q^n
+            s, den = B ** (n + 1) - A ** (n + 1), (n + 1) * (B - A)
+            scale = den * q**n
+            return (_quotient((s << n) - den * (A + B) ** n, scale << n),
+                    _quotient(den * (A**n + B**n) - 2 * s, 2 * scale))
+        # mean = q^k s / (den P), f(m) = q^k 2^k / (A+B)^k, f(a), f(b) = q^k / A^k, B^k
+        s, den, p = B ** (k - 1) - A ** (k - 1), (k - 1) * (B - A), (A * B) ** (k - 1)
+        return (_quotient(q**k * (s * (A + B) ** k - (den * p << k)), den * p * (A + B) ** k),
+                _quotient(q**k * (den * (A**k + B**k) - 2 * s * A * B), 2 * den * p * A * B))
+
+    return gaps
+
+
+def _abs_pow_gaps(r: float) -> Callable[[float, float], tuple[float, float]]:
+    def gaps(a: float, b: float) -> tuple[float, float]:
+        if a < 0.0 < b:
+            # the mean is the sum of the two positive one-sided integrals
+            mean = ((-a) ** (r + 1.0) + b ** (r + 1.0)) / ((r + 1.0) * (b - a))
+            return mean - abs(0.5 * (a + b)) ** r, 0.5 * ((-a) ** r + b ** r) - mean
+        if b <= 0.0:  # f is even
+            a, b = -b, -a
+        m = 0.5 * (a + b)
+        x = 0.5 * (b - a) / m
+        if x <= _SERIES_MAX_X and r * x <= _SERIES_MAX_RX:
+            # t_k = m^r C(r, k) x^k, the generalized binomial series
+            y = x * x
+            return _taylor_gaps(m**r * r * (r - 1.0) / 2.0 * y,
+                                lambda k: (r - k) * (r - k - 1.0) / ((k + 1) * (k + 2)) * y)
+        # in units of b^r, with u = a/b <= 1
+        u = a / b
+        mean = (1.0 - u ** (r + 1.0)) / ((r + 1.0) * ((b - a) / b))
+        br = b**r
+        return br * (mean - (m / b) ** r), br * (0.5 * (1.0 + u**r) - mean)
+
+    return gaps
+
+
 def _require_integer(name: str, value: float) -> int:
     if value != int(value):
         raise InvalidParameter(f"{name} requires an integer exponent, got {value}")
@@ -149,6 +305,7 @@ def _make_pow(params: Sequence[float]) -> FunctionDescriptor:
         # |f'|^q = |n|^q |x|^(q(n-1)): for n >= 2 a power >= 1 of |x|, for
         # n = 1 a constant, for n <= -1 a negative power of x > 0
         convex_deriv_powers=True,
+        gaps=_recip_gaps if n == -1 else _power_gaps(n),
     )
 
 
@@ -166,16 +323,16 @@ def _make_abs_pow(params: Sequence[float]) -> FunctionDescriptor:
         # |f'|^q = r^q |x|^(q(r-1)), a power >= 1 of |x| since r >= 2
         convex_deriv_powers=True,
         kinks=(0.0,),
+        gaps=_abs_pow_gaps(r),
     )
 
 
-def _make_simple(fid: str, ev, dv, domain: Domain):
+def _make_simple(fid: str, ev, dv, domain: Domain, gaps):
     def build(params: Sequence[float]) -> FunctionDescriptor:
         if params:
             raise InvalidParameter(f"{fid} takes no parameters")
-        return FunctionDescriptor(
-            id=fid, parameters=(), eval=ev, deriv=dv, domain=domain, convex_deriv_powers=True
-        )
+        return FunctionDescriptor(id=fid, parameters=(), eval=ev, deriv=dv, domain=domain,
+                                  convex_deriv_powers=True, gaps=gaps)
 
     return build
 
@@ -184,12 +341,13 @@ _POSITIVE = Domain(lower=0.0)
 # Every entry declares |f'|^q convex for q >= 1, by the form of |f'|^q:
 _CATALOG: dict[str, Callable[[Sequence[float]], FunctionDescriptor]] = {
     "pow": _make_pow,  # see _make_pow
-    "exp": _make_simple("exp", np.exp, np.exp, Domain()),  # e^(qx)
-    "ln": _make_simple("ln", np.log, lambda x: 1.0 / x, _POSITIVE),  # x^(-q) on x > 0
+    "exp": _make_simple("exp", np.exp, np.exp, Domain(), _exp_gaps),  # e^(qx)
+    "ln": _make_simple(  # x^(-q) on x > 0
+        "ln", np.log, lambda x: 1.0 / x, _POSITIVE, _ln_gaps),
     "recip": _make_simple(  # x^(-2q) on x > 0
-        "recip", lambda x: 1.0 / x, lambda x: -1.0 / x**2, _POSITIVE),
+        "recip", lambda x: 1.0 / x, lambda x: -1.0 / x**2, _POSITIVE, _recip_gaps),
     "neg_ln": _make_simple(  # x^(-q) on x > 0
-        "neg_ln", lambda x: -np.log(x), lambda x: -1.0 / x, _POSITIVE),
+        "neg_ln", lambda x: -np.log(x), lambda x: -1.0 / x, _POSITIVE, _neg_ln_gaps),
     "abs_pow": _make_abs_pow,  # see _make_abs_pow
 }
 

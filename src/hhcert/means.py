@@ -17,6 +17,10 @@ is NOT a consequence of that bound and fails for some admissible pairs
 (for example a=3, b=6, n=-1); it is evaluated so the discrepancy stays
 observable.  P3 as-printed uses the signed lhs ln(I/A), which is never
 positive and makes the inequality vacuous; as-derived uses |ln(A/I)|.
+
+Each lhs is a signed gap of a catalog function over [a, b], declared in
+closed form (see catalog): the midpoint gap mean - f(m) of x^n (P1), of ln
+(P3: ln(I/A)) and of 1/x (P4: 1/L - 1/A), and the trapezoid gap of x^n (P2).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .bounds import HOLDS_SLACK, theorem3_constant
+from .catalog import finite_gap, lookup_function
 from .errors import InvalidExponent, InvalidParameter
 
 VARIANTS = ("as-printed", "as-derived")
@@ -121,16 +126,9 @@ def _avg(x: float, y: float) -> float:
     return 0.5 * (x + y)
 
 
-def _power_integral_mean(a: float, b: float, n: int) -> float:
-    """Mean value of x^n over [a, b]; equals L_n(a,b)^n for n outside {-1, 0}."""
-    x = _near_ratio(a, b)
-    if x is None:
-        if n == -1:
-            return (math.log(b) - math.log(a)) / (b - a)
-        return (b ** (n + 1) - a ** (n + 1)) / ((n + 1) * (b - a))
-    if n == -1:
-        return math.log1p(x) / (b - a)
-    return a**n * (math.expm1((n + 1) * math.log1p(x)) / ((n + 1) * x))
+def _gap(name: str, params: tuple, a: float, b: float, which: int) -> float:
+    """The signed midpoint (which=0) or trapezoid (which=1) gap of a catalog function."""
+    return finite_gap(lookup_function(name, params).gaps(a, b)[which])
 
 
 def _require_n(n) -> int:
@@ -212,24 +210,24 @@ def check_proposition(
         return PropositionReport(prop, 0.0, 0.0, True, variant)
 
     a, b = mp.a, mp.b
-    A = mean_arithmetic(mp)
     norm = None
     if prop == "P1":
         n = _require_n(n)
-        lhs = abs(A**n - _power_integral_mean(a, b, n))
+        lhs = abs(_gap("pow", (n,), a, b, 0))
     elif prop == "P2":
         n = _require_n(n)
         q = _require_q(q)
         norm = theorem3_constant(q)
-        lhs = abs(_avg(a**n, b**n) - _power_integral_mean(a, b, n))
+        lhs = abs(_gap("pow", (n,), a, b, 1))
     elif prop == "P3":
         q = _require_q(q)
         norm = theorem3_constant(q)
-        ident = mean_identric(mp)
-        lhs = math.log(ident / A) if variant == "as-printed" else abs(math.log(A / ident))
+        lhs = _gap("ln", (), a, b, 0)
+        if variant == "as-derived":
+            lhs = abs(lhs)
     else:  # P4
         q = _require_q(q)
         norm = theorem3_constant(q)
-        lhs = abs(1.0 / A - 1.0 / mean_logarithmic(mp))
+        lhs = abs(_gap("recip", (), a, b, 0))
     rhs = _rhs(prop, a, b, n, q, norm, variant)
     return PropositionReport(prop, lhs, rhs, lhs <= rhs + HOLDS_SLACK, variant)

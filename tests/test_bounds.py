@@ -1,5 +1,6 @@
 """Gap evaluation, the three endpoint-derivative bounds, and the identities."""
 
+import dataclasses
 import math
 import random
 
@@ -113,8 +114,13 @@ _ONE_INTEGRAL_CASES += [
 ]
 
 
+def _hand_built(label: str):
+    """The catalog descriptor without its declared gaps, as a hand-built one is."""
+    return dataclasses.replace(parse_function_id(label), gaps=None)
+
+
 class TestOneIntegralPerCase:
-    """Every gap and the sandwich read the same f(m) and integral mean, bit for bit."""
+    """Every gap and the sandwich read the same case values, bit for bit."""
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
     @pytest.mark.parametrize(
@@ -125,13 +131,31 @@ class TestOneIntegralPerCase:
         fd = parse_function_id(label)
         sandwich, (*rows, hh) = verify_case(fd, iv, q, grid_points=9)
         assert [r.theorem for r in rows] == ["T2", "T3", "KO"]
+        d1, d2 = fd.gaps(iv.a, iv.b) if not iv.is_degenerate else (0.0, 0.0)
+        for rep in rows:
+            assert rep.gap == abs(d1)
+        assert sandwich.middle == sandwich.lower + d1
+        assert hh.gap == max(-d1, -d2, 0.0)
+        assert sandwich.ordered == hh.holds == (hh.gap <= bounds.ORDER_SLACK)
+        assert midpoint_gap(fd, iv) == rows[0].gap
+        assert hh_sandwich(fd, iv) == sandwich
+        assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
+
+    @pytest.mark.parametrize("label,iv", [("exp", Interval(-1.0, 2.0)),
+                                          ("abs_pow:2.5", Interval(-1.0, 2.0)),
+                                          ("ln", Interval(0.5, 3.0))])
+    def test_hand_built_gaps_are_read_off_the_sandwich(self, label, iv):
+        # without declared gaps, the integral mean is the sandwich's middle
+        fd = _hand_built(label)
+        sandwich, (*rows, hh) = verify_case(fd, iv, 3.0, grid_points=9)
         for rep in rows:
             assert rep.gap == abs(sandwich.lower - sandwich.middle)
         assert hh.gap == max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper,
                              0.0)
+        assert sandwich.ordered == hh.holds == (hh.gap <= bounds.ORDER_SLACK)
         assert midpoint_gap(fd, iv) == rows[0].gap
         assert hh_sandwich(fd, iv) == sandwich
-        assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
+        assert evaluate_case(fd, iv, 3.0, grid_points=9) == tuple(rows)
 
 
 # abs_pow:2.5 intervals around its kink at 0 where an unsplit integral missed
@@ -149,14 +173,16 @@ def _abs_pow_mean(iv: Interval, r: float = 2.5):
 
 class TestKinks:
     def test_gap_matches_a_reference(self):
+        # declared in closed form, and integrated with the kink as a breakpoint
         iv = _KINKED_GAP
         ref = abs(abs(iv.midpoint) ** 2.5 - _abs_pow_mean(iv))
-        assert midpoint_gap(parse_function_id("abs_pow:2.5"), iv) == pytest.approx(
-            float(ref), abs=1e-14)
+        for fd in (parse_function_id("abs_pow:2.5"), _hand_built("abs_pow:2.5")):
+            assert midpoint_gap(fd, iv) == pytest.approx(float(ref), abs=1e-14)
 
     def test_sandwich_mean_matches_a_reference(self):
-        rep = hh_sandwich(parse_function_id("abs_pow:2.5"), _KINKED_IDENTITY)
-        assert rep.middle == pytest.approx(float(_abs_pow_mean(_KINKED_IDENTITY)), abs=1e-13)
+        for fd in (parse_function_id("abs_pow:2.5"), _hand_built("abs_pow:2.5")):
+            rep = hh_sandwich(fd, _KINKED_IDENTITY)
+            assert rep.middle == pytest.approx(float(_abs_pow_mean(_KINKED_IDENTITY)), abs=1e-13)
 
     @pytest.mark.parametrize("lemma", ["L1", "L2"])
     def test_identities_reach_rounding_noise(self, lemma):
@@ -170,7 +196,9 @@ class TestKinks:
         assert hh_sandwich(fd, iv).ordered
         assert verify_identity("L1", fd, iv) <= 1e-13
 
-    def test_kink_is_a_breakpoint_of_every_integral(self, monkeypatch):
+    @staticmethod
+    def _integrals(monkeypatch, fd) -> list:
+        """The integrals of midpoint_gap, hh_sandwich and both identities of fd on [-1, 2]."""
         seen = []
         real_1d, real_2d = bounds.integrate_1d, bounds.integrate_2d
 
@@ -184,17 +212,28 @@ class TestKinks:
 
         monkeypatch.setattr(bounds, "integrate_1d", spy_1d)
         monkeypatch.setattr(bounds, "integrate_2d", spy_2d)
-        fd, iv = parse_function_id("abs_pow:2.5"), Interval(-1.0, 2.0)
+        iv = Interval(-1.0, 2.0)
         midpoint_gap(fd, iv)
         hh_sandwich(fd, iv)
         verify_identity("L1", fd, iv)
         verify_identity("L2", fd, iv)
-        t_k = 2.0 / 3.0  # x(t) = -t + 2(1 - t) is 0 at t = b/(b-a)
-        assert seen == [
+        return seen
+
+    _T_K = 2.0 / 3.0  # x(t) = -t + 2(1 - t) is 0 at t = b/(b-a)
+
+    def test_kink_is_a_breakpoint_of_every_integral(self, monkeypatch):
+        t_k = self._T_K
+        assert self._integrals(monkeypatch, _hand_built("abs_pow:2.5")) == [
             (-1.0, 2.0, (0.5, 0.0)),
             (-1.0, 2.0, (0.5, 0.0)),
             (-1.0, 2.0, (0.5, 0.0)), (0.0, 0.5, ()), (0.5, 1.0, (t_k,)),
             (-1.0, 2.0, (0.5, 0.0)), ((0.5, t_k), (0.5, t_k)),
+        ]
+
+    def test_declared_gaps_leave_only_the_integrals_of_f_prime(self, monkeypatch):
+        t_k = self._T_K
+        assert self._integrals(monkeypatch, parse_function_id("abs_pow:2.5")) == [
+            (0.0, 0.5, ()), (0.5, 1.0, (t_k,)), ((0.5, t_k), (0.5, t_k)),
         ]
 
 
@@ -233,8 +272,8 @@ class TestHHReport:
         assert sandwich == hh_sandwich(fd, iv)
         assert rep.theorem == "HH"
         assert rep.bound == bounds.ORDER_SLACK
-        assert rep.gap == max(sandwich.lower - sandwich.middle,
-                              sandwich.middle - sandwich.upper, 0.0)
+        d1, d2 = fd.gaps(a, b)
+        assert rep.gap == max(-d1, -d2, 0.0)
         assert rep.holds == sandwich.ordered == (rep.gap <= rep.bound)
         assert rep.hypothesis == check_convexity(fd.eval, iv, 33)
 
@@ -380,7 +419,9 @@ class TestEvaluateCase:
         assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("q,scans", [(2.0, [2.0]), (3.0, [2.0, 3.0])])
-    def test_one_gap_and_one_scan_per_exponent(self, monkeypatch, q, scans):
+    @pytest.mark.parametrize("declared,integrals", [(True, 0), (False, 1)])
+    def test_one_gap_and_one_scan_per_exponent(self, monkeypatch, q, scans, declared, integrals):
+        # catalog gaps are declared; a hand-built descriptor integrates f once
         hyp_qs, gaps = [], []
         real_hyp, real_1d = bounds.check_hypothesis, bounds.integrate_1d
 
@@ -394,9 +435,10 @@ class TestEvaluateCase:
 
         monkeypatch.setattr(bounds, "check_hypothesis", counting_hyp)
         monkeypatch.setattr(bounds, "integrate_1d", counting_1d)
-        evaluate_case(parse_function_id("pow:3"), _UNIT, q, grid_points=33)
+        fd = parse_function_id("pow:3") if declared else _hand_built("pow:3")
+        evaluate_case(fd, _UNIT, q, grid_points=33)
         assert hyp_qs == scans
-        assert len(gaps) == 1
+        assert len(gaps) == integrals
 
     @pytest.mark.parametrize(
         "label,a,b",

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, exit statuses."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -559,7 +560,8 @@ def test_sweep_scans_nothing_and_verify_scans_only_f(monkeypatch, capsys):
     ],
 )
 def test_one_integral_of_f_per_case(monkeypatch, capsys, argv, cases):
-    # the T rows' gap and the sandwich's mean come from one integral
+    # catalog functions declare their gaps and integrate nothing; without the
+    # declaration the T rows' gap and the sandwich's mean come from one integral
     integrands = []
     real = bounds.integrate_1d
 
@@ -568,6 +570,13 @@ def test_one_integral_of_f_per_case(monkeypatch, capsys, argv, cases):
         return real(g, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "integrate_1d", counting)
+    assert cli.main(argv + ["--grid-points", "9"]) == 0
+    assert integrands == []
+
+    def hand_built(text):
+        return dataclasses.replace(catalog.parse_function_id(text), gaps=None)
+
+    monkeypatch.setattr(cli, "parse_function_id", hand_built)
     assert cli.main(argv + ["--grid-points", "9"]) == 0
     # f itself: a catalog lambda is rebuilt per parse, so compare its code
     fd_eval = catalog.parse_function_id(argv[2]).eval

@@ -18,10 +18,20 @@ The draws are bounded so that one example takes well under a second:
   1e-12), so valid tolerances are drawn from 1e-6, 1e-8 and 1e-10.
 * Scan grids are drawn from a few sizes up to 33, plus the rejected 2 and
   2050; the default 257 costs time without reaching another code path.
+
+The verdict oracle adds one claim for catalog functions under valid options:
+``verify`` and ``sweep`` never exit 1.  Every catalog function declares its
+T2/T3/KO hypotheses true, the theorems hold under them, and their gaps are
+closed-form, so an exit 1 would be a false refutation; the HH row counts only
+where its sampled scan finds f convex.  Its intervals are short, where a gap
+taken from quadrature was rounding noise: b is a plus 1-64 ulps, or a plus
+10^U(-12, 1).  A counterexample found here is a finding to investigate, not
+an input to filter out.
 """
 
 import contextlib
 import io
+import math
 from decimal import Decimal
 
 from hypothesis import HealthCheck, given, settings
@@ -61,7 +71,7 @@ _grid = st.sampled_from(["2", "3", "9", "17", "33", "2050"])
 _fmt = st.sampled_from(["text", "json", "csv"])
 
 
-def _check_contract(argv: list[str]) -> None:
+def _check_contract(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -72,6 +82,7 @@ def _check_contract(argv: list[str]) -> None:
         lines = err.getvalue().splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), (
             argv, err.getvalue())
+    return code
 
 
 @_SETTINGS
@@ -120,3 +131,49 @@ def test_means_keeps_the_exit_contract(a, b, tiny, n, q, p, variant, fmt, use_ti
     argv = ["means", "--a", a, "--b", b, "--n", str(n), "--q", q, "--variant", variant,
             "--format", fmt]
     _check_contract(argv + (["--p", p] if p is not None else []))
+
+
+_POSITIVE_FUNCTIONS = ("ln", "neg_ln", "recip", "pow:-1", "pow:-3")
+_valid_q = st.sampled_from(["2", "3", "1.5", "7.25"])
+_valid_tol = st.sampled_from(["0.000001", "0.00000001", "0.0000000001", "0.0000000000001"])
+_valid_grid = st.sampled_from(["3", "9", "17", "33"])
+
+
+@st.composite
+def _short_interval(draw, fn: str) -> tuple[str, str]:
+    """[a, b] with b = a + 1-64 ulps or a + 10^U(-12, 1), inside fn's domain."""
+    if fn in _POSITIVE_FUNCTIONS:
+        a = 10 ** draw(st.floats(-3.0, 3.0))
+    else:
+        a = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    if draw(st.booleans()):
+        b = a
+        for _ in range(draw(st.integers(1, 64))):
+            b = math.nextafter(b, math.inf)
+    else:
+        b = max(a + 10 ** draw(st.floats(-12.0, 1.0)), math.nextafter(a, math.inf))
+    return _num(a), _num(b)
+
+
+_ORACLE_SETTINGS = settings(_SETTINGS, max_examples=300)
+
+
+@_ORACLE_SETTINGS
+@given(fn=st.sampled_from(_FUNCTIONS), q=_valid_q, tol=_valid_tol, grid=_valid_grid,
+       data=st.data())
+def test_verify_refutes_no_catalog_theorem(fn, q, tol, grid, data):
+    a, b = data.draw(_short_interval(fn))
+    argv = ["verify", "--fn", fn, "--interval", a, b, "--q", q, "--tol", tol,
+            "--grid-points", grid, "--format", "json"]
+    assert _check_contract(argv) != 1, argv
+
+
+@_ORACLE_SETTINGS
+@given(fn=st.sampled_from(_FUNCTIONS), cases=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
+       q=_valid_q, tol=_valid_tol, grid=_valid_grid, data=st.data())
+def test_sweep_refutes_no_catalog_theorem(fn, cases, seed, q, tol, grid, data):
+    lo, hi = data.draw(_short_interval(fn))
+    argv = ["sweep", "--fn", fn, "--cases", str(cases), "--seed", str(seed),
+            "--interval-range", lo, hi, "--q", q, "--tol", tol, "--grid-points", grid,
+            "--format", "csv"]
+    assert _check_contract(argv) != 1, argv
