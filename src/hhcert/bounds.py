@@ -24,8 +24,10 @@ its report, whose hypothesis (f convex) is always sampled.
 _case_values owns a case's f(m) and its signed gaps d1 = mean - f(m) and
 d2 = (f(a)+f(b))/2 - mean, which every gap, sandwich and identity reads.
 Catalog functions declare the gaps in closed form, so they integrate nothing
-for them.  A hand-built descriptor gets one integral of f, split at the
-midpoint and the kinks of f'; integrals of f' are split at the kinks too.
+for them, unless a gap or the midpoint leaves the float range: then the
+integral of f runs only to raise its error.  A hand-built descriptor gets one
+integral of f, split at the midpoint and the kinks of f'; integrals of f' are
+split at the kinks too.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -35,6 +37,7 @@ through a double integral of f' differences against kernel differences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +125,29 @@ def _case_values(
     mean is f(m) + d1.  Otherwise one integral of f, pre-split at the midpoint
     and at the kinks of f', gives the mean, d1 is mean - f(m), and d2 is None:
     the sandwich takes it from f(a) and f(b).  A d1 or mean out of the float
-    range raises OverflowError.
+    range raises OverflowError.  Where a declared gap leaves the range, or
+    the midpoint (a+b)/2 overflows, the integral of f runs first, and its
+    error, which names the node where f left the range, is the one raised.
     """
-    if fd.gaps is not None:
-        d1, d2 = fd.gaps(iv.a, iv.b)
-        f_mid = float(eval_elementwise(fd.eval, iv.midpoint))
-        return f_mid, finite_gap(f_mid + finite_gap(d1)), d1, d2
-    kinks = fd.kinks_inside(iv.a, iv.b)
-    integral = integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint, *kinks))
-    f_mid, mean = float(eval_elementwise(fd.eval, iv.midpoint)), integral.value / iv.width
+    if fd.gaps is not None and math.isfinite(iv.midpoint):
+        try:
+            d1, d2 = fd.gaps(iv.a, iv.b)
+            f_mid = float(eval_elementwise(fd.eval, iv.midpoint))
+            return f_mid, finite_gap(f_mid + finite_gap(d1)), d1, d2
+        except OverflowError:
+            with np.errstate(all="ignore"):  # the nodes of so wide an iv may overflow
+                _integral_mean(fd, iv, tol)
+            raise
+    mean = _integral_mean(fd, iv, tol)
+    f_mid = float(eval_elementwise(fd.eval, iv.midpoint))
     return f_mid, mean, mean - f_mid, None
+
+
+def _integral_mean(fd: FunctionDescriptor, iv: Interval, tol: float) -> float:
+    """The integral mean of f over a non-degenerate iv, from one integral
+    pre-split at the midpoint and at the kinks of f'."""
+    kinks = fd.kinks_inside(iv.a, iv.b)
+    return integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint, *kinks)).value / iv.width
 
 
 def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
@@ -181,11 +197,12 @@ def _ratio(gap: float, bound: float) -> float:
 def _power_mean(da: float, db: float, q: float, root) -> float:
     """root(0.5 * (da**q + db**q)), root being the q-th root.
 
-    When the sum overflows although each power is finite, max(da, db) is
-    factored out first; every finite sum keeps the direct form's bits.
+    When the sum overflows, or falls below the normal range, although
+    max(da, db) is positive and finite, max(da, db) is factored out first;
+    every other sum keeps the direct form's bits.
     """
     total, m = da**q + db**q, max(da, db)
-    if math.isinf(total) and math.isfinite(m):
+    if not (sys.float_info.min <= total < math.inf) and 0.0 < m < math.inf:
         return m * root(0.5 * ((da / m) ** q + (db / m) ** q))
     return root(0.5 * total)
 

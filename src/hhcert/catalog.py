@@ -14,7 +14,8 @@ h = (b-a)/2 and mean is the integral mean of f.  They are computed without
 subtracting nearly equal numbers: from the even Taylor terms of f about m
 (_taylor_gaps) while h, or x = h/m, is small, and from the difference quotient
 of an antiderivative beyond that.  x^n is rational in a and b for n outside
-{0, -1}, so its gaps are computed exactly in integers and rounded once.
+{0, -1}, so for moderate |n| its gaps are computed exactly in integers and
+rounded once.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ MAX_GRID_POINTS = 2049
 _SERIES_MAX_X = 0.6
 _SERIES_MAX_RX = 4.0
 _SERIES_MAX_H = 2.0
+
+# x^n's gaps are exact while |n| times the bit length of its scaled endpoints
+# stays within this many bits, which keeps a case to a few milliseconds; the
+# integers, and their cost, otherwise grow with |n| without bound.  Beyond it
+# the gaps are summed in floats, with a relative error that grows like |n| eps.
+_EXACT_POWER_BITS = 20_000
 
 
 @dataclass(frozen=True)
@@ -165,15 +172,22 @@ def _taylor_gaps(t2: float, ratio: Callable[[int], float]) -> tuple[float, float
     The integral mean is f(m) + sum t_k/(k+1) and (f(a)+f(b))/2 is
     f(m) + sum t_k, so the gaps are sum t_k/(k+1) and sum k t_k/(k+1).  The
     caller gives t_2 and t_(k+2)/t_k = ratio(k); the sums stop at the first
-    term that changes neither, so a zero term ends a finite sum.
+    term that changes neither, so a zero term ends a finite sum, or at the
+    first sum that is not finite, which is returned.
     """
     d1 = d2 = 0.0
     t, k = t2, 2
     while True:
         n1, n2 = d1 + t / (k + 1), d2 + t * k / (k + 1)
-        if n1 == d1 and n2 == d2:
-            return d1, d2
+        if (n1 == d1 and n2 == d2) or not (math.isfinite(n1) and math.isfinite(n2)):
+            return n1, n2
         d1, d2, t, k = n1, n2, t * ratio(k), k + 2
+
+
+def _midpoint(a: float, b: float) -> float:
+    """(a+b)/2, also where a + b overflows; then a/2 and b/2 are exact."""
+    s = a + b
+    return 0.5 * s if math.isfinite(s) else 0.5 * a + 0.5 * b
 
 
 def _log_ratio(u: float, v: float) -> float:
@@ -186,9 +200,12 @@ def _exp_gaps(a: float, b: float) -> tuple[float, float]:
     # e^m (sinh h/h - 1) and e^m (cosh h - sinh h/h).  e^m is taken at the exact
     # midpoint: s + err = a + b exactly (two-sum), and e^(err/2) = 1 + err/2.
     s = a + b
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    em = math.exp(0.5 * s) * (1.0 + 0.5 * err)
+    if math.isfinite(s):
+        bv = s - a
+        err = (a - (s - bv)) + (b - bv)
+        em = math.exp(0.5 * s) * (1.0 + 0.5 * err)
+    else:  # e^m is out of range, or 0
+        em = math.exp(_midpoint(a, b))
     h = 0.5 * (b - a)
     if h <= _SERIES_MAX_H:
         y = h * h
@@ -200,8 +217,8 @@ def _exp_gaps(a: float, b: float) -> tuple[float, float]:
 
 def _ln_gaps(a: float, b: float) -> tuple[float, float]:
     # -sum x^(2j) / (2j (2j+1)) and -(atanh(x)/x - 1), x = h/m
-    m = 0.5 * (a + b)
-    x = 0.5 * (b - a) / m
+    m = _midpoint(a, b)
+    x = (b - a) / m * 0.5  # h/m, without halving a subnormal b - a
     if x <= _SERIES_MAX_X:
         y = x * x
         return _taylor_gaps(-0.5 * y, lambda k: y * k / (k + 2))
@@ -217,8 +234,8 @@ def _neg_ln_gaps(a: float, b: float) -> tuple[float, float]:
 
 def _recip_gaps(a: float, b: float) -> tuple[float, float]:
     # (atanh(x)/x - 1)/m and (x^2/(1-x^2) - atanh(x)/x + 1)/m, x = h/m
-    m = 0.5 * (a + b)
-    x = 0.5 * (b - a) / m
+    m = _midpoint(a, b)
+    x = (b - a) / m * 0.5  # h/m, without halving a subnormal b - a
     if x <= _SERIES_MAX_X:
         y = x * x
         return _taylor_gaps(y / m, lambda k: y)
@@ -234,17 +251,52 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _one_sided_power_gaps(r: float, a: float, b: float) -> tuple[float, float]:
+    """Gaps of x^r over 0 <= a < b, r outside {0, -1}."""
+    if a == 0.0:  # the mean is b^r/(r+1), and m = b/2 may underflow to 0
+        mean, br = 1.0 / (r + 1.0), b**r
+        return br * (mean - 0.5**r), br * (0.5 - mean)
+    m = _midpoint(a, b)
+    x = (b - a) / m * 0.5  # h/m, without halving a subnormal b - a
+    if x <= _SERIES_MAX_X and abs(r) * x <= _SERIES_MAX_RX:
+        # t_k = m^r C(r, k) x^k, the generalized binomial series
+        y = x * x
+        return _taylor_gaps(m**r * r * (r - 1.0) / 2.0 * y,
+                            lambda k: (r - k) * (r - k - 1.0) / ((k + 1) * (k + 2)) * y)
+    # in units of c^r, c the endpoint where x^r is larger, with u = o/c
+    c, o = (b, a) if r > 0.0 else (a, b)
+    u = o / c
+    mean = (1.0 - u ** (r + 1.0)) / ((r + 1.0) * ((c - o) / c))
+    cr = c**r
+    return cr * (mean - (m / c) ** r), cr * (0.5 * (1.0 + u**r) - mean)
+
+
+def _float_power_gaps(n: int, a: float, b: float) -> tuple[float, float]:
+    """Gaps of x^n in floats, for n outside {0, -1}."""
+    if a >= 0.0:
+        return _one_sided_power_gaps(float(n), a, b)
+    if b <= 0.0:  # x^n = (-1)^n |x|^n
+        d1, d2 = _one_sided_power_gaps(float(n), -b, -a)
+        return (d1, d2) if n % 2 == 0 else (-d1, -d2)
+    mean = (b ** (n + 1) - a ** (n + 1)) / ((n + 1) * (b - a))
+    return mean - (0.5 * (a + b)) ** n, 0.5 * (a**n + b**n) - mean
+
+
 def _power_gaps(n: int) -> Callable[[float, float], tuple[float, float]]:
     """Gaps of x^n for n outside {0, -1}, exact: the mean is
     (b^(n+1) - a^(n+1)) / ((n+1)(b-a)), rational in a and b.  Over the
     common scale q, a power of 2 with a = A/q and b = B/q, every term is an
-    integer and each gap one quotient."""
+    integer and each gap one quotient.  The integers have about |n| times the
+    bit length of q, A and B; beyond _EXACT_POWER_BITS the float formulas of
+    _float_power_gaps serve instead."""
     k = -n
 
     def gaps(a: float, b: float) -> tuple[float, float]:
         (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
         q = max(da, db)
         A, B = na * (q // da), nb * (q // db)
+        if abs(n) * max(q, abs(A), abs(B)).bit_length() > _EXACT_POWER_BITS:
+            return _float_power_gaps(n, a, b)
         if n > 0:
             # mean = s / (den q^n), f(m) = (A+B)^n / (2q)^n, f(a), f(b) = A^n, B^n / q^n
             s, den = B ** (n + 1) - A ** (n + 1), (n + 1) * (B - A)
@@ -267,18 +319,7 @@ def _abs_pow_gaps(r: float) -> Callable[[float, float], tuple[float, float]]:
             return mean - abs(0.5 * (a + b)) ** r, 0.5 * ((-a) ** r + b ** r) - mean
         if b <= 0.0:  # f is even
             a, b = -b, -a
-        m = 0.5 * (a + b)
-        x = 0.5 * (b - a) / m
-        if x <= _SERIES_MAX_X and r * x <= _SERIES_MAX_RX:
-            # t_k = m^r C(r, k) x^k, the generalized binomial series
-            y = x * x
-            return _taylor_gaps(m**r * r * (r - 1.0) / 2.0 * y,
-                                lambda k: (r - k) * (r - k - 1.0) / ((k + 1) * (k + 2)) * y)
-        # in units of b^r, with u = a/b <= 1
-        u = a / b
-        mean = (1.0 - u ** (r + 1.0)) / ((r + 1.0) * ((b - a) / b))
-        br = b**r
-        return br * (mean - (m / b) ** r), br * (0.5 * (1.0 + u**r) - mean)
+        return _one_sided_power_gaps(r, a, b)
 
     return gaps
 

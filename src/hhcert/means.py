@@ -127,8 +127,9 @@ def _avg(x: float, y: float) -> float:
 
 
 def _gap(name: str, params: tuple, a: float, b: float, which: int) -> float:
-    """The signed midpoint (which=0) or trapezoid (which=1) gap of a catalog function."""
-    return finite_gap(lookup_function(name, params).gaps(a, b)[which])
+    """The signed midpoint (which=0) or trapezoid (which=1) gap of a catalog
+    function; inf or nan where it leaves the float range."""
+    return lookup_function(name, params).gaps(a, b)[which]
 
 
 def _require_n(n) -> int:
@@ -230,4 +231,5 @@ def check_proposition(
         norm = theorem3_constant(q)
         lhs = abs(_gap("recip", (), a, b, 0))
     rhs = _rhs(prop, a, b, n, q, norm, variant)
+    lhs = finite_gap(lhs)  # after the rhs, whose range errors come first
     return PropositionReport(prop, lhs, rhs, lhs <= rhs + HOLDS_SLACK, variant)

@@ -141,13 +141,15 @@ class TestOneIntegralPerCase:
         assert hh_sandwich(fd, iv) == sandwich
         assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
 
-    @pytest.mark.parametrize("label,iv", [("exp", Interval(-1.0, 2.0)),
-                                          ("abs_pow:2.5", Interval(-1.0, 2.0)),
-                                          ("ln", Interval(0.5, 3.0))])
-    def test_hand_built_gaps_are_read_off_the_sandwich(self, label, iv):
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize(
+        "label,iv", _ONE_INTEGRAL_CASES, ids=[f"{lb}-{iv.a!r}-{iv.b!r}" for lb, iv in
+                                              _ONE_INTEGRAL_CASES]
+    )
+    def test_hand_built_gaps_are_read_off_the_sandwich(self, label, iv, q):
         # without declared gaps, the integral mean is the sandwich's middle
         fd = _hand_built(label)
-        sandwich, (*rows, hh) = verify_case(fd, iv, 3.0, grid_points=9)
+        sandwich, (*rows, hh) = verify_case(fd, iv, q, grid_points=9)
         for rep in rows:
             assert rep.gap == abs(sandwich.lower - sandwich.middle)
         assert hh.gap == max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper,
@@ -155,7 +157,7 @@ class TestOneIntegralPerCase:
         assert sandwich.ordered == hh.holds == (hh.gap <= bounds.ORDER_SLACK)
         assert midpoint_gap(fd, iv) == rows[0].gap
         assert hh_sandwich(fd, iv) == sandwich
-        assert evaluate_case(fd, iv, 3.0, grid_points=9) == tuple(rows)
+        assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
 
 
 # abs_pow:2.5 intervals around its kink at 0 where an unsplit integral missed

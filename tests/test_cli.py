@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -502,6 +503,56 @@ def test_error_order(capsys, argv, err):
     assert (code, captured.out, captured.err) == (2, "", err + "\n")
 
 
+_NEG_1E308, _NEG_17E308 = f"{-1e308:.1f}", f"{-1.7e308:.1f}"  # argparse takes -1e308 for an option
+
+# Inputs past the float range keep the error the integral of f reports: a
+# midpoint (a+b)/2 that overflows is no breakpoint, and exp past x = 709.78 is
+# not finite at a node.  The declared gaps read neither, and never hang.
+_RANGE_ERRORS = [
+    (["verify", "--fn", "abs_pow:2.5", "--interval", "1e308", "1.7e308"],
+     "error: breakpoint inf outside [1e+308, 1.7e+308]"),
+    (["verify", "--fn", "abs_pow:2.5", "--interval", _NEG_17E308, _NEG_1E308],
+     "error: breakpoint -inf outside [-1.7e+308, -1e+308]"),
+    (["verify", "--fn", "pow:-2", "--interval", "1e308", "1.7e308"],
+     "error: breakpoint inf outside [1e+308, 1.7e+308]"),
+    (["sweep", "--fn", "abs_pow:2.5", "--cases", "2", "--interval-range", "1e308", "1.7e308"],
+     "error: breakpoint inf outside [1.302069597933957e+308, 1.6183175657495497e+308]"),
+    (["sweep", "--fn", "abs_pow:2.5", "--cases", "2", "--interval-range", _NEG_17E308, _NEG_1E308],
+     "error: breakpoint -inf outside [-1.397930402066043e+308, -1.0816824342504502e+308]"),
+    (["verify", "--fn", "exp", "--interval", "710", "711"],
+     "error: integrand not finite at x=710.0021361572198"),
+    (["verify", "--fn", "exp", "--interval", "-800", "800"],
+     "error: integrand not finite at x=745.9457693439076"),
+    (["sweep", "--fn", "exp", "--cases", "1", "--interval-range", "710", "720"],
+     "error: integrand not finite at x=714.3249307616236"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _RANGE_ERRORS, ids=[" ".join(a)[:60] for a, _ in _RANGE_ERRORS])
+def test_range_errors_keep_the_integral_message(capsys, argv, err):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err + "\n")
+
+
+# x^n's exact gaps would need integers of about |n| x 53 bits here (minutes and
+# hundreds of MB at n = 10^7); past a fixed size they are summed in floats
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--fn", "pow:1000000", "--interval", "0.5", "0.9"], 0),
+    (["verify", "--fn", "pow:-1000000", "--interval", "1.0", "1.0001"], 0),
+    (["verify", "--fn", "pow:1000000", "--interval", "1.1", "1.3"], 2),
+    (["means", "--a", "1.0", "--b", "1.0001", "--n", "1000000"], 0),
+    (["means", "--a", "1.1", "--b", "1.3", "--n", "10000000"], 2),
+    (["means", "--a", "1.1", "--b", "1.3", "--n", "-10000000"], 2),
+])
+def test_large_exponents_take_no_time(capsys, argv, code):
+    start = time.perf_counter()
+    assert cli.main(argv) == code
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.err in ("", "error: (34, 'Numerical result out of range')\n")
+
+
 _RUNTIME_PROBE = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -628,6 +679,25 @@ def test_power_mean_overflow_prints_a_finite_bound(capsys, argv):
     assert code == 0
     for rec in json.loads(out)["records"][:3]:
         assert math.isfinite(rec["bound"]) and rec["ratio"] > 0.0
+
+
+# |f'|^2 underflows to 0 at both endpoints, and T2 and T3 read a zero bound
+# (ln on [1e300, 1e308] then refuted T2 with exit 1)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fn", "exp", "--interval", "-700", "-699.9"],
+        ["verify", "--fn", "ln", "--interval", "1e300", "1e308"],
+        ["verify", "--fn", "ln", "--interval", "1e307", "1.0000000000000002e307", "--q", "3"],
+    ],
+)
+def test_power_mean_underflow_prints_a_positive_bound(capsys, argv):
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    t2, t3, ko = json.loads(out)["records"][:3]
+    for rec in (t2, t3):
+        assert rec["holds"] and rec["bound"] > 0.0 and math.isfinite(rec["ratio"])
+        assert rec["bound"] == pytest.approx(ko["bound"], rel=0.5)
 
 
 def test_kinked_sweep_gap_is_converged_to_its_reference(capsys):

@@ -19,6 +19,9 @@ The draws are bounded so that one example takes well under a second:
 * Scan grids are drawn from a few sizes up to 33, plus the rejected 2 and
   2050; the default 257 costs time without reaching another code path.
 
+Three more properties run verify, sweep and means across the whole float
+range, and with exponents up to 10^7, where nothing else draws.
+
 The verdict oracle adds one claim for catalog functions under valid options:
 ``verify`` and ``sweep`` never exit 1.  Every catalog function declares its
 T2/T3/KO hypotheses true, the theorems hold under them, and their gaps are
@@ -131,6 +134,41 @@ def test_means_keeps_the_exit_contract(a, b, tiny, n, q, p, variant, fmt, use_ti
     argv = ["means", "--a", a, "--b", b, "--n", str(n), "--q", q, "--variant", variant,
             "--format", fmt]
     _check_contract(argv + (["--p", p] if p is not None else []))
+
+
+# Across the whole float range, where a + b, f, f' or a gap overflows, and
+# with exponents whose exact gaps would need integers of millions of bits.
+_WIDE_FUNCTIONS = _FUNCTIONS + ("pow:1000000", "pow:-1000", "abs_pow:1000000")
+
+
+def _wide_numbers():
+    edges = st.sampled_from([1e308, 1.7e308, 1e154, 1.3e154, 709.9, 5e-324, 1e-310])
+    return (st.floats(-1.7e308, 1.7e308, allow_nan=False)
+            | edges | edges.map(lambda v: -v)).map(_num)
+
+
+@_SETTINGS
+@given(fn=st.sampled_from(_WIDE_FUNCTIONS), a=_wide_numbers(), b=_wide_numbers(), q=_q,
+       grid=st.sampled_from(["3", "9"]), fmt=_fmt)
+def test_verify_keeps_the_exit_contract_across_the_float_range(fn, a, b, q, grid, fmt):
+    _check_contract(["verify", "--fn", fn, "--interval", a, b, "--q", q, "--grid-points", grid,
+                     "--format", fmt])
+
+
+@_SETTINGS
+@given(fn=st.sampled_from(_WIDE_FUNCTIONS), seed=st.integers(0, 2**64 - 1),
+       lo=_wide_numbers(), hi=_wide_numbers(), q=_q, fmt=_fmt)
+def test_sweep_keeps_the_exit_contract_across_the_float_range(fn, seed, lo, hi, q, fmt):
+    _check_contract(["sweep", "--fn", fn, "--cases", "2", "--seed", str(seed),
+                     "--interval-range", lo, hi, "--q", q, "--grid-points", "9",
+                     "--format", fmt])
+
+
+@_SETTINGS
+@given(a=_wide_numbers(), b=_wide_numbers(), n=st.sampled_from([-10**7, -1000, 1000, 10**7]),
+       fmt=_fmt)
+def test_means_keeps_the_exit_contract_with_large_exponents(a, b, n, fmt):
+    _check_contract(["means", "--a", a, "--b", b, "--n", str(n), "--format", fmt])
 
 
 _POSITIVE_FUNCTIONS = ("ln", "neg_ln", "recip", "pow:-1", "pow:-3")

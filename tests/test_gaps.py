@@ -17,8 +17,9 @@ import sys
 import mpmath
 import pytest
 
-from hhcert import bounds, cli
+from hhcert import bounds, catalog, cli
 from hhcert.catalog import Interval, parse_function_id
+from hhcert.errors import NonFiniteEvaluation
 from hhcert.quadrature import integrate_1d
 
 EPS = 2.0**-52
@@ -86,7 +87,7 @@ def _intervals(label: str) -> list[tuple[float, float]]:
     if label.startswith("abs_pow"):
         # 0 inside, at an endpoint and at the midpoint, and the kink 1 ulp away
         out += [(-1.0, 2.0), (-3.0, 0.5), (-0.001, 7.0), (0.0, 1.5), (-2.5, 0.0), (-2.0, 2.0),
-                (-1e-9, 1e-9), (-5e-324, 1.0), (-1.0, 5e-324)]
+                (-1e-9, 1e-9), (-5e-324, 1.0), (-1.0, 5e-324), (0.0, 5e-324), (-5e-324, 0.0)]
     return out
 
 
@@ -124,6 +125,65 @@ def test_large_exponents_match_mpmath(label, a, b):
     assert max(_relative_error(d1, r1), _relative_error(d2, r2)) <= GAP_ULPS * EPS
 
 
+def _large_exponent_intervals(n: int) -> list[tuple[float, float]]:
+    """Seeded intervals on which x^n stays in range: |n ln x| < 500."""
+    rng = random.Random(f"large:{n}")
+    out = []
+    for i in range(16):
+        c = math.exp(rng.uniform(-500.0, 500.0) / abs(n))
+        width = c * 10 ** rng.uniform(-12.0, math.log10(min(1.0, 100.0 / abs(n))))
+        if n > 0 and i % 4 == 1:
+            out.append((-c - width, -c))
+        elif n > 0 and i % 4 == 3:
+            out.append((-c * rng.uniform(0.5, 1.0), c))  # 0 inside
+        else:
+            out.append((c, c + width))
+    return out
+
+
+@pytest.mark.parametrize("n", [400, 2001, -400, -1000, 100000])
+def test_exponents_past_the_exact_size_match_mpmath(n):
+    # Past catalog._EXACT_POWER_BITS the gaps of x^n are summed in floats.
+    # m = (a+b)/2 and a/b are rounded once, and raised to the n-th power that
+    # costs up to |n|/2 eps: the bound is |n| eps (worst seen 0.5 |n| eps).
+    label = f"pow:{n}"
+    fd = parse_function_id(label)
+    for a, b in _large_exponent_intervals(n):
+        d1, d2 = fd.gaps(a, b)
+        r1, r2 = reference_gaps(label, a, b)
+        err = max(_relative_error(d1, r1), _relative_error(d2, r2))
+        assert err <= abs(n) * EPS, f"{label}: {err / EPS:.1f} eps at ({a!r}, {b!r})"
+
+
+@pytest.mark.parametrize("label,a,b", [
+    ("ln", 1e308, 1.7e308), ("neg_ln", 1e308, 1.7e308), ("recip", 1e308, 1.7e308),
+    ("pow:-2", 1e308, 1.7e308), ("pow:2", 1e308, 1.7e308), ("exp", -1.7e308, -1e308),
+    ("abs_pow:2.5", 1e308, 1.7e308), ("abs_pow:2.5", -1.7e308, -1e308),
+])
+def test_gaps_where_a_plus_b_overflows(label, a, b):
+    # m is a/2 + b/2, not the inf that (a+b)/2 gives: each gap is its
+    # reference, or out of range (inf, or OverflowError) where the reference is
+    refs = reference_gaps(label, a, b)
+    in_range = [abs(ref) <= sys.float_info.max for ref in refs]
+    try:
+        gaps = parse_function_id(label).gaps(a, b)
+    except OverflowError:
+        assert not all(in_range)
+        return
+    for got, ref, ok in zip(gaps, refs, in_range):
+        if ok:
+            assert _relative_error(got, ref) <= GAP_ULPS * EPS
+        else:
+            assert not math.isfinite(got)
+
+
+@pytest.mark.parametrize("t2", [math.inf, -math.inf, math.nan])
+def test_series_stops_at_a_sum_out_of_range(t2):
+    # a nan term never leaves the sums unchanged, so only this check ends them
+    d1, d2 = catalog._taylor_gaps(t2, lambda k: 0.25)
+    assert not math.isfinite(d1) and not math.isfinite(d2)
+
+
 def test_affine_gaps_are_exactly_zero():
     fd = parse_function_id("pow:1")
     for a, b in _intervals("pow:1"):
@@ -158,12 +218,18 @@ def test_gaps_match_the_quadrature(label):
         assert d2 == pytest.approx(0.5 * (fa + fb) - mean, abs=allowance)
 
 
-@pytest.mark.parametrize("label,a,b", [("exp", 709.0, 711.0), ("recip", 1e-320, 2e-320),
-                                       ("pow:5", 1.0, 1e200), ("pow:-3", 1e-200, 1.0)])
-def test_out_of_range_gaps_raise(label, a, b):
-    # a gap past the float range is an error, never a printed inf or nan
+@pytest.mark.parametrize("label,a,b,error", [
+    ("exp", 709.0, 711.0, NonFiniteEvaluation),
+    ("recip", 1e-320, 2e-320, NonFiniteEvaluation),
+    ("pow:5", 1.0, 1e200, NonFiniteEvaluation),
+    # no quadrature node comes near enough to 1e-200 to overflow x^-3 there
+    ("pow:-3", 1e-200, 1.0, OverflowError),
+])
+def test_out_of_range_gaps_raise(label, a, b, error):
+    # a gap past the float range is an error, never a printed inf or nan; where
+    # the integral of f meets a value of f out of range, its error is raised
     fd = parse_function_id(label)
-    with pytest.raises(OverflowError):
+    with pytest.raises(error):
         bounds.midpoint_gap(fd, Interval(a, b))
 
 
