@@ -38,7 +38,7 @@ from .errors import (
     OutOfRange,
     UnknownFunction,
 )
-from .kernel import KernelMoment, kernel_m, kernel_p_moment, kernel_p_norm
+from .kernel import KernelMoment, kernel_m, kernel_p_moment, kernel_p_norm, kernel_p_numeric
 from .means import (
     MeanPair,
     PropositionReport,
@@ -87,6 +87,7 @@ __all__ = [
     "kernel_m",
     "kernel_p_moment",
     "kernel_p_norm",
+    "kernel_p_numeric",
     "lookup_function",
     "mean_arithmetic",
     "mean_identric",

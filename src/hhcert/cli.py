@@ -30,7 +30,7 @@ from .catalog import (
     parse_function_id,
 )
 from .errors import HHCertError
-from .kernel import kernel_m, kernel_p_moment, kernel_p_norm
+from .kernel import kernel_p_moment, kernel_p_norm, kernel_p_numeric
 from .means import (
     MeanPair,
     check_proposition,
@@ -39,7 +39,7 @@ from .means import (
     mean_logarithmic,
     mean_p_logarithmic,
 )
-from .quadrature import check_tol, integrate_2d
+from .quadrature import check_tol
 from .sampling import SplitMix64, draw_interval, sampling_range
 
 EXIT_OK = 0
@@ -221,12 +221,7 @@ def cmd_identity(args) -> int:
 def cmd_kernel(args) -> int:
     moment = kernel_p_moment(args.p)
     norm = kernel_p_norm(args.p)
-    numeric = integrate_2d(
-        lambda t, s: abs(kernel_m(t) - kernel_m(s)) ** args.p,
-        args.tol,
-        breakpoints_t=(0.5,),
-        breakpoints_s=(0.5,),
-    )
+    numeric = kernel_p_numeric(args.p, args.tol)
     discrepancy = abs(moment.closed_form - numeric.value)
     meta = {
         "command": "kernel",

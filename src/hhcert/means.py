@@ -25,9 +25,13 @@ closed form (see catalog): the midpoint gap mean - f(m) of x^n (P1), of ln
 
 from __future__ import annotations
 
+import decimal
+import errno
 import math
+import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .bounds import HOLDS_SLACK, theorem3_constant
 from .catalog import finite_gap, lookup_function
@@ -122,8 +126,8 @@ def mean_p_logarithmic(mp: MeanPair, p: float) -> float:
     return ((b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))) ** (1.0 / p)
 
 
-def _avg(x: float, y: float) -> float:
-    return 0.5 * (x + y)
+def _avg(x, y):
+    return (x + y) / 2
 
 
 def _gap(name: str, params: tuple, a: float, b: float, which: int) -> float:
@@ -151,18 +155,24 @@ def _require_q(q) -> float:
     return float(q)
 
 
-def _direct_rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
+def _direct_rhs(prop: str, a, b, n, q, norm, variant: str, sqrt=math.sqrt):
+    """The rhs of prop, in floats or, given Decimal a, b, q and norm, in Decimals."""
     width = b - a
     if prop == "P1":
         base = _avg(a ** (2 * (n - 1)), b ** (2 * (n - 1)))
         if variant == "as-derived":
-            base = math.sqrt(base)
-        return abs(n) * width / math.sqrt(6.0) * base
+            base = sqrt(base)
+        return abs(n) * width / sqrt(6.0) * base
     if prop == "P2":
-        return abs(n) * width * norm * _avg(a ** (q * (n - 1)), b ** (q * (n - 1))) ** (1.0 / q)
+        return abs(n) * width * norm * _avg(a ** (q * (n - 1)), b ** (q * (n - 1))) ** (1 / q)
     if prop == "P3":
-        return width / (a * b) * norm * _avg(b**q, a**q) ** (1.0 / q)
-    return width / (a * b) ** 2 * norm * _avg(a ** (2.0 * q), b ** (2.0 * q)) ** (1.0 / q)
+        return width / (a * b) * norm * _avg(b**q, a**q) ** (1 / q)
+    return width / (a * b) ** 2 * norm * _avg(a ** (2 * q), b ** (2 * q)) ** (1 / q)
+
+
+# Wide enough that no power of a float pair leaves the exponent range; any
+# that still would gives an infinity or NaN instead of raising.
+_WIDE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
 
 
 def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
@@ -172,7 +182,11 @@ def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
     overflows or divides by an underflowed (a*b)**2, b's binary exponent k is
     factored out instead: the rhs is homogeneous in (a, b), of degree n (P1
     as-derived, P2), 2n - 1 (P1 as-printed), 0 (P3) or -1 (P4), so it is the
-    rhs at (a, b) / 2^k, an exact scaling, times 2^(k * degree).
+    rhs at (a, b) / 2^k, an exact scaling, times 2^(k * degree).  When b/a is
+    so large that the scaled pair still divides by zero or overflows
+    (a = 1e-310, b = 1), the formula is evaluated in 40-digit decimals, whose
+    exponent range holds every power of a float pair, and rounded once; a rhs
+    beyond the float range then raises the range error a float power raises.
     """
     try:
         rhs = _direct_rhs(prop, a, b, n, q, norm, variant)
@@ -185,8 +199,20 @@ def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
     else:
         degree = {"P2": n, "P3": 0, "P4": -1}[prop]
     k = math.frexp(b)[1]
-    scaled = _direct_rhs(prop, math.ldexp(a, -k), math.ldexp(b, -k), n, q, norm, variant)
-    return math.ldexp(scaled, k * degree)
+    try:
+        scaled = _direct_rhs(prop, math.ldexp(a, -k), math.ldexp(b, -k), n, q, norm, variant)
+    except ZeroDivisionError:
+        scaled = math.inf
+    if scaled < math.inf:
+        return math.ldexp(scaled, k * degree)
+    with decimal.localcontext(_WIDE):
+        rhs = float(_direct_rhs(
+            prop, Decimal(a), Decimal(b), n, None if q is None else Decimal(q),
+            None if norm is None else Decimal(norm), variant, sqrt=lambda x: Decimal(x).sqrt(),
+        ))
+    if not rhs < math.inf:
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return rhs
 
 
 def check_proposition(

@@ -127,6 +127,23 @@ def _segment_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _wide_halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel centres and half-widths where an endpoint sum or width may overflow.
+
+    Each is formed from the halved endpoints only where the plain
+    0.5 * (lows + highs) or 0.5 * (highs - lows) overflows, so every finite
+    one is bit for bit the plain formula's; halving first everywhere would
+    round subnormal endpoints differently.
+    """
+    with np.errstate(over="ignore"):
+        centers, halfw = 0.5 * (lows + highs), 0.5 * (highs - lows)
+    over = np.isinf(centers)
+    centers[over] = 0.5 * lows[over] + 0.5 * highs[over]
+    over = np.isinf(halfw)
+    halfw[over] = 0.5 * highs[over] - 0.5 * lows[over]
+    return centers, halfw
+
+
 def _refine(evaluate, edges: list[float], n: int, tol: float):
     """Run n independent adaptive integrals over [edges[0], edges[-1]].
 
@@ -152,6 +169,8 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     """
     lows0, highs0 = np.array(edges[:-1]), np.array(edges[1:])
     total_width = edges[-1] - edges[0]
+    # past half the float maximum a panel's endpoint sum or width can overflow
+    wide = math.isinf(2.0 * max(-edges[0], edges[-1]))
     value, error = np.zeros(n), np.zeros(n)
     depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     fail_at, fail_exc = n, None
@@ -171,8 +190,10 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
                 rows = int(counts[:m].sum())
                 owners, counts, lows, highs = owners[:m], counts[:m], lows[:rows], highs[:rows]
             while owners.size:
-                centers = 0.5 * (lows + highs)
-                halfw = 0.5 * (highs - lows)
+                if wide:
+                    centers, halfw = _wide_halves(lows, highs)
+                else:
+                    centers, halfw = 0.5 * (lows + highs), 0.5 * (highs - lows)
                 nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
                 y, failed = evaluate(nodes, owners, counts)
 
@@ -203,7 +224,10 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
                 # Proportional budgets keep the sum of accepted errors below
                 # tol; the rounding floor stops pointless splitting once the
                 # pair difference is at machine-noise scale for the panel.
-                budget = tol * (2.0 * halfw) / total_width
+                if math.isinf(total_width):  # wider than the float maximum
+                    budget = tol * halfw / (0.5 * edges[-1] - 0.5 * edges[0])
+                else:
+                    budget = tol * (2.0 * halfw) / total_width
                 floor = 50.0 * _EPS * np.abs(ik)
                 accept = (err <= budget) | (err <= floor)
                 rejected = ~accept
@@ -322,8 +346,9 @@ def integrate_2d(
     with s (such as |t - s| along the diagonal) cannot be pre-split; on such
     creases both embedded rules err the same way and the reported estimate
     can understate the true error by orders of magnitude.  Supply integrands
-    that are at least C1 across moving creases, or iterate integrate_1d by
-    hand with per-node breakpoints when full accuracy matters there.
+    that are at least C1 across moving creases, or, where full accuracy
+    matters, change variables so that the crease lies on a fixed panel edge,
+    as kernel.kernel_p_numeric does for the kernel's |m(t) - m(s)|^p.
     """
     # checks in the order the outer, then the first inner, integral meets them
     check_tol(tol)

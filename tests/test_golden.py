@@ -53,6 +53,7 @@ _CASES = {
     "sweep_ln_q2": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13"], 0),
     "sweep_ln_q3": (["sweep", "--fn", "ln", "--cases", "4", "--seed", "13", "--q", "3"], 0),
     "sweep_exp_no_cases": (["sweep", "--fn", "exp", "--cases", "0"], 0),
+    "kernel_p1": (["kernel", "--p", "1"], 0),
     "kernel_p1.1": (["kernel", "--p", "1.1"], 0),
     "kernel_p1.5": (["kernel", "--p", "1.5"], 0),
     "kernel_p2": (["kernel", "--p", "2"], 0),

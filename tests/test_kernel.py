@@ -1,5 +1,6 @@
-"""Kernel values, closed-form p-moments, and the p-norm used by the bounds."""
+"""Kernel values, closed-form p-moments, the numeric moment, and the p-norm used by the bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhcert import cli
 from hhcert.errors import OutOfRange
-from hhcert.kernel import kernel_m, kernel_p_moment, kernel_p_norm
+from hhcert.kernel import kernel_m, kernel_p_moment, kernel_p_norm, kernel_p_numeric
 from hhcert.quadrature import integrate_2d
 
 
@@ -96,6 +98,45 @@ class TestPMoment:
         )
         assert res.converged
         assert abs(res.value - kernel_p_moment(2.0).closed_form) <= 1e-10
+
+
+class TestNumericMoment:
+    """kernel_p_numeric against the closed form at 50 digits.
+
+    The quarter-split integrand this replaced reported 2.0e-11 at p = 1 and
+    tol 1e-10 for a true error of 1.5e-8: its crease t = s moved with the
+    outer node, inside the panels.
+    """
+
+    @pytest.mark.parametrize(
+        "p,tol",
+        [(1.0, 1e-9), (1.0, 1e-10)]
+        + [(p, 1e-10) for p in (1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 7.0, 20.0, 1000.0)],
+    )
+    def test_error_estimate_covers_the_true_error(self, p, tol):
+        mpmath = pytest.importorskip("mpmath")
+        res = kernel_p_numeric(p, tol)
+        assert res.converged
+        assert res.error_estimate <= tol
+        with mpmath.workdps(50):
+            exact = 2 / ((mpmath.mpf(p) + 1) * (mpmath.mpf(p) + 2))
+            actual = float(abs(mpmath.mpf(res.value) - exact))
+        # a few ulp of the value are rounding, not quadrature error
+        assert actual <= res.error_estimate + 4 * 2.0**-52 * float(exact)
+
+    def test_cli_prints_the_numeric_moment(self, capsys):
+        assert cli.main(["kernel", "--p", "1.5", "--tol", "1e-9", "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        res = kernel_p_numeric(1.5, 1e-9)
+        assert (rec["numeric"], rec["numeric_error_estimate"]) == (res.value, res.error_estimate)
+        assert rec["discrepancy"] == abs(rec["closed_form"] - res.value)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_invalid_exponent(self, p):
+        from hhcert.errors import InvalidExponent
+
+        with pytest.raises(InvalidExponent):
+            kernel_p_numeric(p)
 
 
 class TestPNorm:

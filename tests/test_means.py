@@ -270,3 +270,25 @@ def test_direct_rhs_matches_a_50_digit_reference(a, b, n):
     for prop in ("P1", "P2", "P3", "P4"):
         rep = check_proposition(prop, mp, n=n, q=3.0)
         assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, n, 3.0), rel=1e-13), prop
+
+
+# b/a beyond the float range: P4's (a*b)**2 divided by zero even after the
+# pair was scaled by b's exponent, and P3's rhs came back inf with holds=true.
+def test_rhs_beyond_the_float_range_raises():
+    mp = MeanPair(1e-310, 1.0)
+    for prop in ("P3", "P4"):  # 1/a alone is 1e310
+        with pytest.raises(OverflowError):
+            check_proposition(prop, mp, q=2.0)
+    for prop in ("P1", "P2"):
+        rep = check_proposition(prop, mp, n=2, q=2.0)
+        assert rep.rhs == pytest.approx(_rhs_reference(prop, 1e-310, 1.0, 2, 2.0), rel=1e-14)
+
+
+def test_cli_rhs_beyond_the_float_range_exits_2(capsys):
+    from hhcert import cli
+
+    assert cli.main(["means", "--a", "1e-310", "--b", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (34, 'Numerical result out of range')\n"
+

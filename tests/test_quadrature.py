@@ -12,7 +12,7 @@ from hhcert import quadrature
 from hhcert.bounds import _lemma2_integrand
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import NonFiniteEvaluation
-from hhcert.kernel import kernel_m
+from hhcert.kernel import _moment_integrand, kernel_m
 from hhcert.quadrature import QuadratureResult, integrate_1d, integrate_2d
 
 
@@ -80,6 +80,23 @@ def test_bad_tol_rejected(tol):
 def test_non_finite_evaluation_raises():
     with pytest.raises(NonFiniteEvaluation):
         integrate_1d(lambda x: 1.0 / x, Interval(-1.0, 1.0))
+
+
+def test_panels_past_half_the_float_maximum():
+    # 0.5 * (a + b) overflowed here, so every node was inf; the mean of ln
+    # over [a, b] lies between ln a and ln b
+    a, b = 1.2e308, 1.7e308
+    res = integrate_1d(lambda x: np.log(x) / (b - a), Interval(a, b), tol=1e-10)
+    assert res.converged
+    assert math.log(a) <= res.value <= math.log(b)
+
+
+def test_panel_wider_than_the_float_maximum():
+    # b - a and 0.5 * (b - a) overflowed; int exp(-(x/c)^2) dx / c = sqrt(pi)
+    c = 1e307
+    res = integrate_1d(lambda x: np.exp(-((x / c) ** 2)) / c, Interval(-1.7e308, 1e308), tol=1e-10)
+    assert res.converged
+    assert abs(res.value - math.sqrt(math.pi)) <= res.error_estimate
 
 
 def test_budget_exhaustion_returns_best_estimate():
@@ -262,6 +279,7 @@ class TestBatchedInnerIntegrals:
             pytest.param(lambda t, s: 1.0, {"tol": 1e-10}, id="constant"),
             pytest.param(lambda t, s: abs(t - s), {"tol": 1e-7}, id="abs-diff"),
             pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
+            pytest.param(_moment_integrand(1.1), {"tol": 1e-10}, id="mapped-kernel-p1.1"),
         ],
     )
     def test_matches_one_node_at_a_time(self, g, kwargs):
