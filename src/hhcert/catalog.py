@@ -20,16 +20,20 @@ rounded once.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._ufunc import eval_elementwise
-from .errors import DomainViolation, InvalidExponent, InvalidParameter, UnknownFunction
+from .errors import (
+    DomainViolation,
+    InvalidExponent,
+    InvalidParameter,
+    UnknownFunction,
+    range_error,
+)
 
 NO_VIOLATION = "no-violation-found"
 VIOLATED = "violated"
@@ -162,7 +166,7 @@ def finite_gap(value: float) -> float:
     """A declared gap, checked: inf and nan mean the gap left the float range,
     which raises OverflowError(ERANGE), as an overflowing float power does."""
     if not math.isfinite(value):
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+        raise range_error()
     return value
 
 

@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit."""
 
+import errno
+import os
+
 
 class HHCertError(Exception):
     """Base class for all toolkit-specific errors."""
@@ -27,3 +30,9 @@ class InvalidExponent(HHCertError):
 
 class NonFiniteEvaluation(HHCertError):
     """Integrand returned NaN or infinity inside the integration domain."""
+
+
+def range_error() -> OverflowError:
+    """OverflowError(ERANGE), what an overflowing float power raises: the
+    error of a value that leaves the float range."""
+    return OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))

@@ -26,16 +26,14 @@ closed form (see catalog): the midpoint gap mean - f(m) of x^n (P1), of ln
 from __future__ import annotations
 
 import decimal
-import errno
 import math
-import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .bounds import HOLDS_SLACK, theorem3_constant
 from .catalog import finite_gap, lookup_function
-from .errors import InvalidExponent, InvalidParameter
+from .errors import InvalidExponent, InvalidParameter, range_error
 
 VARIANTS = ("as-printed", "as-derived")
 
@@ -179,39 +177,25 @@ def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
     """The rhs of prop at a < b, in its direct form wherever that is a normal float.
 
     Where the direct form underflows (a**(2q) is 0 at a = 1e-60, q = 3),
-    overflows or divides by an underflowed (a*b)**2, b's binary exponent k is
-    factored out instead: the rhs is homogeneous in (a, b), of degree n (P1
-    as-derived, P2), 2n - 1 (P1 as-printed), 0 (P3) or -1 (P4), so it is the
-    rhs at (a, b) / 2^k, an exact scaling, times 2^(k * degree).  When b/a is
-    so large that the scaled pair still divides by zero or overflows
-    (a = 1e-310, b = 1), the formula is evaluated in 40-digit decimals, whose
-    exponent range holds every power of a float pair, and rounded once; a rhs
-    beyond the float range then raises the range error a float power raises.
+    overflows or divides by an underflowed (a*b)**2, the formula is evaluated
+    in 40-digit decimals, whose exponent range holds every power of a float
+    pair, and rounded once.  A rhs beyond the float range, too large for a
+    float or too small for any but 0, raises the range error a float power
+    raises.
     """
     try:
         rhs = _direct_rhs(prop, a, b, n, q, norm, variant)
-    except ZeroDivisionError:
-        rhs = 0.0
+    except (ZeroDivisionError, OverflowError):
+        rhs = math.nan
     if sys.float_info.min <= rhs < math.inf:
         return rhs
-    if prop == "P1":
-        degree = n if variant == "as-derived" else 2 * n - 1
-    else:
-        degree = {"P2": n, "P3": 0, "P4": -1}[prop]
-    k = math.frexp(b)[1]
-    try:
-        scaled = _direct_rhs(prop, math.ldexp(a, -k), math.ldexp(b, -k), n, q, norm, variant)
-    except ZeroDivisionError:
-        scaled = math.inf
-    if scaled < math.inf:
-        return math.ldexp(scaled, k * degree)
     with decimal.localcontext(_WIDE):
         rhs = float(_direct_rhs(
             prop, Decimal(a), Decimal(b), n, None if q is None else Decimal(q),
             None if norm is None else Decimal(norm), variant, sqrt=lambda x: Decimal(x).sqrt(),
         ))
-    if not rhs < math.inf:
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    if not 0.0 < rhs < math.inf:
+        raise range_error()
     return rhs
 
 

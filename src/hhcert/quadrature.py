@@ -25,7 +25,7 @@ import numpy as np
 
 from ._ufunc import eval_elementwise
 from .catalog import Interval
-from .errors import NonFiniteEvaluation
+from .errors import NonFiniteEvaluation, range_error
 
 MAX_DEPTH = 60          # bisection levels per axis before giving up
 _MAX_PANELS = 65536     # safety valve against worklist blowup
@@ -127,20 +127,21 @@ def _segment_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wide_halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Panel centres and half-widths where an endpoint sum or width may overflow.
+def _halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel centres and half-widths, overflow ignored by the caller.
 
     Each is formed from the halved endpoints only where the plain
     0.5 * (lows + highs) or 0.5 * (highs - lows) overflows, so every finite
     one is bit for bit the plain formula's; halving first everywhere would
     round subnormal endpoints differently.
     """
-    with np.errstate(over="ignore"):
-        centers, halfw = 0.5 * (lows + highs), 0.5 * (highs - lows)
+    centers, halfw = 0.5 * (lows + highs), 0.5 * (highs - lows)
     over = np.isinf(centers)
-    centers[over] = 0.5 * lows[over] + 0.5 * highs[over]
+    if over.any():
+        centers[over] = 0.5 * lows[over] + 0.5 * highs[over]
     over = np.isinf(halfw)
-    halfw[over] = 0.5 * highs[over] - 0.5 * lows[over]
+    if over.any():
+        halfw[over] = 0.5 * highs[over] - 0.5 * lows[over]
     return centers, halfw
 
 
@@ -167,129 +168,134 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     Returns arrays of the n values, error estimates, depths and converged
     flags.
     """
-    lows0, highs0 = np.array(edges[:-1]), np.array(edges[1:])
-    total_width = edges[-1] - edges[0]
-    # past half the float maximum a panel's endpoint sum or width can overflow
-    wide = math.isinf(2.0 * max(-edges[0], edges[-1]))
-    value, error = np.zeros(n), np.zeros(n)
-    depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-    fail_at, fail_exc = n, None
-    chunk = max(1, _MAX_PANELS // lows0.size)
+    # a panel estimate or running sum past the float range is caught below
+    # as a value, not as a numpy warning; evaluate silences the integrand's own
+    with np.errstate(over="ignore", invalid="ignore"):
+        lows0, highs0 = np.array(edges[:-1]), np.array(edges[1:])
+        half_width = 0.5 * edges[-1] - 0.5 * edges[0]  # finite however wide
+        value, error = np.zeros(n), np.zeros(n)
+        depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+        fail_at, fail_exc = n, None
+        chunk = max(1, _MAX_PANELS // lows0.size)
 
-    for first in range(0, n, chunk):
-        if first >= fail_at:
-            break
-        owners = np.arange(first, min(first + chunk, n))
-        m = owners.size
-        lows, highs = (lows0, highs0) if m == 1 else (np.tile(lows0, m), np.tile(highs0, m))
-        stack = [(owners, np.full(m, lows0.size), lows, highs, 0)]
-        while stack:
-            owners, counts, lows, highs, depth = stack.pop()
-            if owners[-1] >= fail_at:
-                m = int(owners.searchsorted(fail_at))
-                rows = int(counts[:m].sum())
-                owners, counts, lows, highs = owners[:m], counts[:m], lows[:rows], highs[:rows]
-            while owners.size:
-                if wide:
-                    centers, halfw = _wide_halves(lows, highs)
-                else:
-                    centers, halfw = 0.5 * (lows + highs), 0.5 * (highs - lows)
-                nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
-                y, failed = evaluate(nodes, owners, counts)
-
-                # the first integral that cannot go on: the one evaluate
-                # reports, or the owner of an earlier non-finite value; the
-                # integrals before it go on with this level's values
-                m, exc = (owners.size, None) if failed is None else failed
-                rows = int(counts[:m].sum()) if m < owners.size else lows.size
-                finite = np.isfinite(y[:rows])
-                if not finite.all():
-                    flat = int(np.argmin(finite))
-                    m = int(np.cumsum(counts).searchsorted(flat // _XK.size, side="right"))
-                    x = float(nodes.ravel()[flat])
-                    exc = NonFiniteEvaluation(f"integrand not finite at x={x!r}")
+        for first in range(0, n, chunk):
+            if first >= fail_at:
+                break
+            owners = np.arange(first, min(first + chunk, n))
+            m = owners.size
+            lows, highs = (lows0, highs0) if m == 1 else (np.tile(lows0, m), np.tile(highs0, m))
+            stack = [(owners, np.full(m, lows0.size), lows, highs, 0)]
+            while stack:
+                owners, counts, lows, highs, depth = stack.pop()
+                if owners[-1] >= fail_at:
+                    m = int(owners.searchsorted(fail_at))
                     rows = int(counts[:m].sum())
-                if exc is not None:
-                    fail_at, fail_exc = int(owners[m]), exc
-                    if m == 0:
-                        break
                     owners, counts, lows, highs = owners[:m], counts[:m], lows[:rows], highs[:rows]
-                    centers, halfw, y = centers[:rows], halfw[:rows], y[:rows]
+                while owners.size:
+                    centers, halfw = _halves(lows, highs)
+                    nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
+                    y, failed = evaluate(nodes, owners, counts)
+                    sums_k, sums_g = _block_products(y, counts)
+                    ik = halfw * sums_k
+                    ig = halfw * sums_g
+                    err = np.abs(ik - ig)
 
-                sums_k, sums_g = _block_products(y, counts)
-                ik = halfw * sums_k
-                ig = halfw * sums_g
-                err = np.abs(ik - ig)
+                    # the first integral that cannot go on: the one evaluate
+                    # reports, or the owner of an earlier non-finite value, or of
+                    # an earlier panel estimate beyond the float range; the
+                    # integrals before it go on with this level's values
+                    m, exc = (owners.size, None) if failed is None else failed
+                    rows = int(counts[:m].sum()) if m < owners.size else lows.size
+                    finite = np.isfinite(y[:rows])
+                    if not finite.all():
+                        flat = int(np.argmin(finite))
+                        m = int(np.cumsum(counts).searchsorted(flat // _XK.size, side="right"))
+                        x = float(nodes.ravel()[flat])
+                        exc = NonFiniteEvaluation(f"integrand not finite at x={x!r}")
+                        rows = int(counts[:m].sum())
+                    finite = np.isfinite(err[:rows])
+                    if not finite.all():
+                        m = int(np.cumsum(counts).searchsorted(int(np.argmin(finite)), side="right"))
+                        exc = range_error()
+                        rows = int(counts[:m].sum())
+                    if exc is not None:
+                        fail_at, fail_exc = int(owners[m]), exc
+                        if m == 0:
+                            break
+                        owners, counts, lows, highs = owners[:m], counts[:m], lows[:rows], highs[:rows]
+                        centers, halfw = centers[:rows], halfw[:rows]
+                        ik, err = ik[:rows], err[:rows]
 
-                # Proportional budgets keep the sum of accepted errors below
-                # tol; the rounding floor stops pointless splitting once the
-                # pair difference is at machine-noise scale for the panel.
-                if math.isinf(total_width):  # wider than the float maximum
-                    budget = tol * halfw / (0.5 * edges[-1] - 0.5 * edges[0])
-                else:
-                    budget = tol * (2.0 * halfw) / total_width
-                floor = 50.0 * _EPS * np.abs(ik)
-                accept = (err <= budget) | (err <= floor)
-                rejected = ~accept
+                    # Proportional budgets keep the sum of accepted errors below
+                    # tol; the rounding floor stops pointless splitting once the
+                    # pair difference is at machine-noise scale for the panel.
+                    budget = tol * halfw / half_width
+                    floor = 50.0 * _EPS * np.abs(ik)
+                    accept = (err <= budget) | (err <= floor)
+                    rejected = ~accept
 
-                if owners.size == 1:
-                    # one integral (every integrate_1d call): scalar bookkeeping,
-                    # as the per-owner array version below made such calls 70 % slower
-                    k = owners[0]
-                    value[k] += ik[accept].sum()
-                    error[k] += err[accept].sum()
-                    n_rej = np.count_nonzero(rejected)
-                    if n_rej and depth < MAX_DEPTH and 2 * n_rej <= _MAX_PANELS:
-                        lo_r, hi_r, mid_r = lows[rejected], highs[rejected], centers[rejected]
-                        lows = np.concatenate([lo_r, mid_r])
-                        highs = np.concatenate([mid_r, hi_r])
-                        counts = np.array([lows.size])
-                        depth += 1
-                        continue
-                    if n_rej:
-                        value[k] += ik[rejected].sum()
-                        error[k] += err[rejected].sum()
-                    depth_of[k], converged[k] = depth, n_rej == 0 and error[k] <= tol
-                    break
+                    if owners.size == 1:
+                        # one integral (every integrate_1d call): scalar bookkeeping,
+                        # as the per-owner array version below made such calls 70 % slower
+                        k = owners[0]
+                        value[k] += ik[accept].sum()
+                        error[k] += err[accept].sum()
+                        n_rej = np.count_nonzero(rejected)
+                        if n_rej and depth < MAX_DEPTH and 2 * n_rej <= _MAX_PANELS:
+                            lo_r, hi_r, mid_r = lows[rejected], highs[rejected], centers[rejected]
+                            lows = np.concatenate([lo_r, mid_r])
+                            highs = np.concatenate([mid_r, hi_r])
+                            counts = np.array([lows.size])
+                            depth += 1
+                            continue
+                        if n_rej:
+                            value[k] += ik[rejected].sum()
+                            error[k] += err[rejected].sum()
+                        depth_of[k], converged[k] = depth, n_rej == 0 and error[k] <= tol
+                        break
 
-                n_rej = np.diff(np.cumsum(rejected)[np.cumsum(counts) - 1], prepend=0)
-                value[owners] += _segment_sums(ik[accept], counts - n_rej)
-                error[owners] += _segment_sums(err[accept], counts - n_rej)
-                stop = (n_rej == 0) | (depth >= MAX_DEPTH) | (2 * n_rej > _MAX_PANELS)
-                gave_up = stop & (n_rej > 0)
-                if gave_up.any():
-                    rows = rejected & np.repeat(gave_up, counts)
-                    value[owners[gave_up]] += _segment_sums(ik[rows], n_rej[gave_up])
-                    error[owners[gave_up]] += _segment_sums(err[rows], n_rej[gave_up])
-                done = owners[stop]
-                depth_of[done] = depth
-                converged[done] = (n_rej[stop] == 0) & (error[done] <= tol)
-                if stop.all():
-                    break
+                    n_rej = np.diff(np.cumsum(rejected)[np.cumsum(counts) - 1], prepend=0)
+                    value[owners] += _segment_sums(ik[accept], counts - n_rej)
+                    error[owners] += _segment_sums(err[accept], counts - n_rej)
+                    stop = (n_rej == 0) | (depth >= MAX_DEPTH) | (2 * n_rej > _MAX_PANELS)
+                    gave_up = stop & (n_rej > 0)
+                    if gave_up.any():
+                        rows = rejected & np.repeat(gave_up, counts)
+                        value[owners[gave_up]] += _segment_sums(ik[rows], n_rej[gave_up])
+                        error[owners[gave_up]] += _segment_sums(err[rows], n_rej[gave_up])
+                    done = owners[stop]
+                    depth_of[done] = depth
+                    converged[done] = (n_rej[stop] == 0) & (error[done] <= tol)
+                    if stop.all():
+                        break
 
-                # each continuing integral's next block is the lower halves
-                # of its rejected panels, then their upper halves, as alone
-                going = ~stop
-                idx = np.flatnonzero(rejected & np.repeat(going, counts))
-                n_keep = n_rej[going]
-                lower = np.repeat(np.cumsum(n_keep) - n_keep, n_keep) + np.arange(idx.size)
-                upper = lower + np.repeat(n_keep, n_keep)
-                lo_r, hi_r, mid_r = lows[idx], highs[idx], centers[idx]
-                lows, highs = np.empty(2 * idx.size), np.empty(2 * idx.size)
-                lows[lower], lows[upper] = lo_r, mid_r
-                highs[lower], highs[upper] = mid_r, hi_r
-                owners, counts = owners[going], 2 * n_rej[going]
-                depth += 1
-                if lows.size > _MAX_PANELS:
-                    cut = max(1, int(np.cumsum(counts).searchsorted(_MAX_PANELS, side="right")))
-                    rows = int(counts[:cut].sum())
-                    stack.append((owners[cut:], counts[cut:], lows[rows:], highs[rows:], depth))
-                    owners, counts = owners[:cut], counts[:cut]
-                    lows, highs = lows[:rows], highs[:rows]
+                    # each continuing integral's next block is the lower halves
+                    # of its rejected panels, then their upper halves, as alone
+                    going = ~stop
+                    idx = np.flatnonzero(rejected & np.repeat(going, counts))
+                    n_keep = n_rej[going]
+                    lower = np.repeat(np.cumsum(n_keep) - n_keep, n_keep) + np.arange(idx.size)
+                    upper = lower + np.repeat(n_keep, n_keep)
+                    lo_r, hi_r, mid_r = lows[idx], highs[idx], centers[idx]
+                    lows, highs = np.empty(2 * idx.size), np.empty(2 * idx.size)
+                    lows[lower], lows[upper] = lo_r, mid_r
+                    highs[lower], highs[upper] = mid_r, hi_r
+                    owners, counts = owners[going], 2 * n_rej[going]
+                    depth += 1
+                    if lows.size > _MAX_PANELS:
+                        cut = max(1, int(np.cumsum(counts).searchsorted(_MAX_PANELS, side="right")))
+                        rows = int(counts[:cut].sum())
+                        stack.append((owners[cut:], counts[cut:], lows[rows:], highs[rows:], depth))
+                        owners, counts = owners[:cut], counts[:cut]
+                        lows, highs = lows[:rows], highs[:rows]
 
-    if fail_exc is not None:
-        raise fail_exc
-    return value, error, depth_of, converged
+        # the integrals below fail_at ran to the end; alone, the first of them
+        # whose sum left the float range would have raised first
+        if not (np.isfinite(value[:fail_at]).all() and np.isfinite(error[:fail_at]).all()):
+            raise range_error()
+        if fail_exc is not None:
+            raise fail_exc
+        return value, error, depth_of, converged
 
 
 def integrate_1d(
@@ -303,8 +309,9 @@ def integrate_1d(
     The interval is pre-split at the given interior breakpoints so known
     kinks or jumps land on panel boundaries.  A degenerate interval yields
     exactly zero.  Raises NonFiniteEvaluation if g returns NaN or infinity
-    at a quadrature node; an integrand too rough for the depth budget comes
-    back with converged=False instead.
+    at a quadrature node, and OverflowError(ERANGE) if a panel estimate, the
+    integral or its error estimate leaves the float range; an integrand too
+    rough for the depth budget comes back with converged=False instead.
     """
     check_tol(tol)
     if iv.is_degenerate:

@@ -101,12 +101,8 @@ class TestPMoment:
 
 
 class TestNumericMoment:
-    """kernel_p_numeric against the closed form at 50 digits.
-
-    The quarter-split integrand this replaced reported 2.0e-11 at p = 1 and
-    tol 1e-10 for a true error of 1.5e-8: its crease t = s moved with the
-    outer node, inside the panels.
-    """
+    """kernel_p_numeric against the closed form at 50 digits: with every
+    crease on a panel edge, the printed estimate must cover the true error."""
 
     @pytest.mark.parametrize(
         "p,tol",

@@ -249,18 +249,19 @@ def test_underflowing_rhs_matches_a_50_digit_reference(a, b, q):
     for prop in ("P1", "P2", "P3", "P4"):
         rep = check_proposition(prop, mp, n=2, q=q)
         assert rep.holds, prop
-        assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, 2, q), rel=1e-14), prop
+        assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, 2, q), rel=1e-14, abs=0.0), prop
 
 
-def test_underflowing_printed_p1_rhs_scales_with_its_own_degree():
-    # as printed, P1's rhs lacks the square root: degree 2n - 1, not n
-    a, b, n = 1e-60, 2e-60, 5
+def test_overflowing_printed_p1_rhs_matches_a_50_digit_reference():
+    # as printed, P1's rhs lacks the square root; a**(2(n - 1)) = 1e324
+    # overflows, the rhs, about 1e297, does not
+    a, b, n = 1e-27, 2e-27, -5
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         ma, mb = mpmath.mpf(a), mpmath.mpf(b)
-        ref = float(n * (mb - ma) / mpmath.sqrt(6) * (ma ** (2 * n - 2) + mb ** (2 * n - 2)) / 2)
+        ref = float(abs(n) * (mb - ma) / mpmath.sqrt(6) * (ma ** (2 * n - 2) + mb ** (2 * n - 2)) / 2)
     rep = check_proposition("P1", MeanPair(a, b), n=n, variant="as-printed")
-    assert rep.rhs == pytest.approx(ref, rel=1e-14)
+    assert rep.rhs == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 4.0), (3.0, 6.0), (0.1, 9.7)])
@@ -281,7 +282,19 @@ def test_rhs_beyond_the_float_range_raises():
             check_proposition(prop, mp, q=2.0)
     for prop in ("P1", "P2"):
         rep = check_proposition(prop, mp, n=2, q=2.0)
-        assert rep.rhs == pytest.approx(_rhs_reference(prop, 1e-310, 1.0, 2, 2.0), rel=1e-14)
+        assert rep.rhs == pytest.approx(_rhs_reference(prop, 1e-310, 1.0, 2, 2.0), rel=1e-14, abs=0.0)
+    # too small for any float but 0: the printed P1 rhs here is about 1e-538
+    with pytest.raises(OverflowError):
+        check_proposition("P1", MeanPair(1e-60, 2e-60), n=5, variant="as-printed")
+
+
+def test_rhs_of_a_pair_across_the_float_range():
+    # P4's b**(2q) = 1e400 overflowed and raised, although its rhs is finite
+    mp = MeanPair(1e-100, 1e100)
+    for prop in ("P1", "P2", "P3", "P4"):
+        rep = check_proposition(prop, mp, n=2, q=2.0)
+        ref = _rhs_reference(prop, 1e-100, 1e100, 2, 2.0)
+        assert rep.rhs == pytest.approx(ref, rel=1e-14, abs=0.0), prop
 
 
 def test_cli_rhs_beyond_the_float_range_exits_2(capsys):

@@ -91,6 +91,18 @@ def test_panels_past_half_the_float_maximum():
     assert math.log(a) <= res.value <= math.log(b)
 
 
+def test_integral_beyond_the_float_range_raises():
+    # every node is finite, but the integral, about 3.5e310, is not
+    with pytest.raises(OverflowError):
+        integrate_1d(np.log, Interval(1.2e308, 1.7e308), tol=1e-10)
+
+
+def test_sum_beyond_the_float_range_raises():
+    # each panel's estimate is finite (1e308), their sum is not
+    with pytest.raises(OverflowError):
+        integrate_1d(lambda x: np.full_like(x, 1e308), Interval(0.0, 2.0), breakpoints=(1.0,))
+
+
 def test_panel_wider_than_the_float_maximum():
     # b - a and 0.5 * (b - a) overflowed; int exp(-(x/c)^2) dx / c = sqrt(pi)
     c = 1e307
