@@ -128,7 +128,7 @@ def _segment_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Panel centres and half-widths, overflow ignored by the caller.
+    """Panel centres and half-widths, under the caller's np.errstate(over="ignore").
 
     Each is formed from the halved endpoints only where the plain
     0.5 * (lows + highs) or 0.5 * (highs - lows) overflows, so every finite
@@ -173,7 +173,8 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     with np.errstate(over="ignore", invalid="ignore"):
         lows0, highs0 = np.array(edges[:-1]), np.array(edges[1:])
         half_width = 0.5 * edges[-1] - 0.5 * edges[0]  # finite however wide
-        value, error = np.zeros(n), np.zeros(n)
+        sums = np.zeros((2, n))  # one finiteness check at the end covers both rows
+        value, error = sums
         depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
         fail_at, fail_exc = n, None
         chunk = max(1, _MAX_PANELS // lows0.size)
@@ -291,7 +292,7 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
 
         # the integrals below fail_at ran to the end; alone, the first of them
         # whose sum left the float range would have raised first
-        if not (np.isfinite(value[:fail_at]).all() and np.isfinite(error[:fail_at]).all()):
+        if not np.isfinite(sums[:, :fail_at]).all():
             raise range_error()
         if fail_exc is not None:
             raise fail_exc
