@@ -161,9 +161,12 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     integrals ``owners`` (ascending, ``counts`` rows each) and returns
     ``(y, failed)``: the integrand values, and None or ``(j, exc)`` when
     integral ``owners[j]`` raised exc, in which case only the rows of the
-    integrals before it are valid.  When integrals fail, the error of the
-    lowest-numbered one is raised, once every integral below it is done:
-    what running them one at a time would raise.
+    integrals before it are valid.  An integral also fails on a non-finite
+    integrand value (NonFiniteEvaluation) and on a panel estimate, value or
+    error estimate beyond the float range (OverflowError(ERANGE)).  When
+    integrals fail, the error of the lowest-numbered one is raised, once
+    every integral below it is done: what running them one at a time would
+    raise.
 
     Returns arrays of the n values, error estimates, depths and converged
     flags.

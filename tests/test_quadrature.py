@@ -336,6 +336,25 @@ class TestBatchedInnerIntegrals:
         assert str(batched.value) == str(sequential.value)
         assert "x=0.0625" in str(batched.value)
 
+    @pytest.mark.parametrize(
+        "overflow_at,nan_at,error",
+        [(2, 10, OverflowError), (10, 2, NonFiniteEvaluation)],
+    )
+    def test_range_error_keeps_the_order_of_outer_nodes(self, overflow_at, nan_at, error):
+        # one outer node's inner estimate overflows in round 0, another's
+        # integrand is NaN at t = 1/2 in round 0: the lower node's error wins
+        s_nodes = 0.5 + 0.5 * quadrature._XK
+
+        def g(t, s):
+            y = np.where(s == s_nodes[overflow_at], 1.7e308, np.sqrt(t) + s)
+            return np.where((s == s_nodes[nan_at]) & (t == 0.5), np.nan, y)
+
+        with pytest.raises(error) as batched:
+            integrate_2d(g, tol=1e-10)
+        with pytest.raises(error) as sequential:
+            _sequential_integrate_2d(g, tol=1e-10)
+        assert str(batched.value) == str(sequential.value)
+
     def test_integrand_exception_propagates_unchanged(self):
         class Boom(Exception):
             pass
