@@ -56,7 +56,7 @@ from .catalog import (
 )
 from .errors import InvalidExponent
 from .kernel import kernel_m, kernel_p_norm
-from .quadrature import check_tol, integrate_1d, integrate_2d
+from .quadrature import check_tol, graded_map, integrate_1d, integrate_2d
 
 HOLDS_SLACK = 1e-12
 ORDER_SLACK = 1e-10
@@ -145,9 +145,36 @@ def _case_values(
 
 def _integral_mean(fd: FunctionDescriptor, iv: Interval, tol: float) -> float:
     """The integral mean of f over a non-degenerate iv, from one integral
-    pre-split at the midpoint and at the kinks of f'."""
-    kinks = fd.kinks_inside(iv.a, iv.b)
-    return integrate_1d(fd.eval, iv, tol, breakpoints=(iv.midpoint, *kinks)).value / iv.width
+    pre-split at the midpoint and at the kinks of f', and graded toward them."""
+    breakpoints = (iv.midpoint, *fd.kinks_inside(iv.a, iv.b))
+    f = _graded(fd.eval, (iv.a, *breakpoints, iv.b), _kinks_on(fd, iv.a, iv.b))
+    return integrate_1d(f, iv, tol, breakpoints=breakpoints).value / iv.width
+
+
+def _kinks_on(fd: FunctionDescriptor, a: float, b: float) -> tuple[float, ...]:
+    """The kinks of f' in the closed [a, b]: at an end of the range as well
+    as inside it, an integral's panel ends there."""
+    return tuple(k for k in fd.kinks if a <= k <= b)
+
+
+def _graded(g, edges, toward):
+    """g(x(u)) dx/du for the quadrature.graded_map of the panels between edges
+    toward the points toward, or g itself when no panel ends at one of them.
+
+    Near a kink k of abs_pow:r, f behaves like |x - k|^r and f' like
+    |x - k|^(r-1), whose higher derivatives are unbounded for a non-integer
+    r, and the embedded estimate of a panel that ends at k can under-report;
+    graded, |x - k|^c becomes a multiple of w^(2c+1).
+    """
+    if not set(edges) & set(toward):
+        return g
+    phi = graded_map(edges, toward)
+
+    def mapped(u):
+        x, dx = phi(u)
+        return g(x) * dx
+
+    return mapped
 
 
 def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
@@ -354,19 +381,30 @@ def verify_case(
     return sandwich, (*reports, hh)
 
 
-def _lemma2_integrand(fd: FunctionDescriptor, x_of):
+def _lemma2_integrand(fd: FunctionDescriptor, x_of, phi=None):
     """(f'(x(t)) - f'(x(s))) (m(s) - m(t)), the Lemma 2 integrand for integrate_2d.
 
     integrate_2d passes s as a column with one outer node per row.  f'(x(s))
     is taken one Python float per distinct node, as a lone node would get it,
-    since fd.deriv can round differently on arrays.
+    since fd.deriv can round differently on arrays, and once per node: every
+    inner level of an outer node reads the same value.  With phi, a
+    quadrature.graded_map, both axes are mapped by it and the integrand takes
+    both Jacobians.
     """
+    deriv_at: dict[float, float] = {}
 
     def integrand(t, s):
+        if phi is not None:
+            (t, dt), (s, ds_du) = phi(t), phi(s)
         nodes, row_node = np.unique(s, return_inverse=True)
-        ds = np.array([fd.deriv(x_of(v)) for v in nodes.tolist()])
+        nodes = nodes.tolist()
+        for v in nodes:
+            if v not in deriv_at:
+                deriv_at[v] = fd.deriv(x_of(v))
+        ds = np.array([deriv_at[v] for v in nodes])
         ds = ds[row_node].reshape(np.shape(s))
-        return (fd.deriv(x_of(t)) - ds) * (kernel_m(s) - kernel_m(t))
+        value = (fd.deriv(x_of(t)) - ds) * (kernel_m(s) - kernel_m(t))
+        return value if phi is None else value * (dt * ds_du)
 
     return integrand
 
@@ -398,17 +436,23 @@ def verify_identity(
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
     d1 = _case_values(fd, iv, tol)[2]
-    kinks_t = tuple((b - k) / (b - a) for k in fd.kinks_inside(a, b))
+    graded_t = tuple((b - k) / (b - a) for k in _kinks_on(fd, a, b))
+    kinks_t = tuple(t for t in graded_t if 0.0 < t < 1.0)
 
     def x_of(u):
         return u * a + (1.0 - u) * b
 
     if lemma == "L1":
-        left = integrate_1d(lambda t: t * fd.deriv(x_of(t)), Interval(0.0, 0.5), tol,
-                            breakpoints=tuple(t for t in kinks_t if t < 0.5))
-        right = integrate_1d(lambda t: (t - 1.0) * fd.deriv(x_of(t)), Interval(0.5, 1.0), tol,
-                             breakpoints=tuple(t for t in kinks_t if t > 0.5))
-        return abs(d1 - iv.width * (left.value + right.value))
+        def half(lo, hi, weight):
+            inside = tuple(t for t in kinks_t if lo < t < hi)
+            g = _graded(lambda t: weight(t) * fd.deriv(x_of(t)), (lo, *inside, hi), graded_t)
+            return integrate_1d(g, Interval(lo, hi), tol, breakpoints=inside).value
+
+        left = half(0.0, 0.5, lambda t: t)
+        right = half(0.5, 1.0, lambda t: t - 1.0)
+        return abs(d1 - iv.width * (left + right))
     edges = (0.5, *kinks_t)
-    dbl = integrate_2d(_lemma2_integrand(fd, x_of), tol, breakpoints_t=edges, breakpoints_s=edges)
+    phi = graded_map((0.0, *edges, 1.0), graded_t) if graded_t else None
+    dbl = integrate_2d(_lemma2_integrand(fd, x_of, phi), tol, breakpoints_t=edges,
+                       breakpoints_s=edges)
     return abs(-d1 - 0.5 * iv.width * dbl.value)

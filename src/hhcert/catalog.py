@@ -367,7 +367,9 @@ def _make_abs_pow(params: Sequence[float]) -> FunctionDescriptor:
         deriv=lambda x: r * np.sign(x) * np.abs(x) ** (r - 1.0),
         # |f'|^q = r^q |x|^(q(r-1)), a power >= 1 of |x| since r >= 2
         convex_deriv_powers=True,
-        kinks=(0.0,),
+        # for an even integer r, f' = r x^(r-1) is a polynomial, and grading
+        # a panel toward a point where f' is smooth only costs levels
+        kinks=() if r % 2.0 == 0.0 else (0.0,),
         gaps=_abs_pow_gaps(r),
     )
 
@@ -471,7 +473,12 @@ def check_convexity(
     full 7-slice scan.  grid_points is capped at MAX_GRID_POINTS.
     """
     _check_scan_args(iv, grid_points)
-    xs = np.linspace(iv.a, iv.b, grid_points)
+    if math.isinf(iv.width):
+        # the grid of the halved endpoints, doubled exactly: np.linspace
+        # takes b - a, which overflows here
+        xs = 2.0 * np.linspace(0.5 * iv.a, 0.5 * iv.b, grid_points)
+    else:
+        xs = np.linspace(iv.a, iv.b, grid_points)
     gx = eval_elementwise(g, xs)
     _require_finite(gx, iv)
 

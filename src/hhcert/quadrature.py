@@ -327,6 +327,65 @@ def integrate_1d(
     return QuadratureResult(float(value[0]), float(error[0]), int(depth[0]), bool(converged[0]))
 
 
+def graded_map(edges: Sequence[float], toward: Sequence[float]):
+    """A change of variables that grades the panels ending at the points ``toward``.
+
+    ``edges`` are the panel edges of an integral over [min(edges),
+    max(edges)], in any order.  Returns phi, a vectorized map u -> (x(u),
+    dx/du) of that interval onto itself, to be composed into an integrand as
+    g(x(u)) dx/du over the same panels.  phi is the identity on a panel with
+    no end in ``toward``.  On a panel that ends at such a point k, with H the
+    signed width from k to the panel's other end, it is x = k + H w^2 with
+    w = (u - k)/H, so dx/du = 2w: an integrand like |x - k|^c near k becomes
+    one like w^(2c+1), and |x - k|^1.5 a polynomial.  A panel with such a
+    point at both ends is split at its midpoint 0.5 * (lo + hi), each half
+    graded toward its own end.  There phi is C1 but not C2; integrate_1d and
+    integrate_2d bisect a panel at that same point, and a caller passes it as
+    a breakpoint to have it as an edge from the start.
+
+    phi is monotone on each panel and maps each k onto itself exactly; it
+    maps a panel's other end to k + (end - k), which is that end unless the
+    sum rounds.
+    """
+    edges = sorted({float(e) for e in edges})
+    marks = {float(k) for k in toward}
+    starts, anchors, widths, graded = [], [], [], []
+    for lo, hi in zip(edges, edges[1:]):
+        if lo in marks and hi in marks:
+            mid = 0.5 * (lo + hi)
+            pieces = ((lo, lo, mid), (mid, hi, mid))
+        elif lo in marks or hi in marks:
+            pieces = ((lo, lo, hi),) if lo in marks else ((lo, hi, lo),)
+        else:
+            pieces = ((lo, None, None),)
+        for start, k, end in pieces:
+            starts.append(start)
+            graded.append(k is not None)
+            anchors.append(0.0 if k is None else k)
+            widths.append(1.0 if k is None else end - k)
+
+    if len(starts) == 1 and graded[0]:
+        # one graded panel, such as the kernel's y edge: no per-node lookup
+        k, h = anchors[0], widths[0]
+
+        def phi(u):
+            w = (u - k) / h
+            return k + h * (w * w), 2.0 * w
+
+        return phi
+
+    inner = np.array(starts[1:])
+    anchors, widths, graded = np.array(anchors), np.array(widths), np.array(graded)
+
+    def phi(u):
+        i = np.searchsorted(inner, u, side="right")
+        k, h, on = anchors[i], widths[i], graded[i]
+        w = (u - k) / h
+        return np.where(on, k + h * (w * w), u), np.where(on, 2.0 * w, 1.0)
+
+    return phi
+
+
 def integrate_2d(
     g: Callable[[float, float], float],
     tol: float = 1e-10,

@@ -166,6 +166,20 @@ _KINKED_GAP = Interval(-1.3788564729135357, 1.1738956418783024)
 _KINKED_IDENTITY = Interval(-0.2539862570578202, 0.5042608607277401)
 
 
+_KINK_EDGE = Interval(-0.032021394392498514, 1.7664130283632349)
+
+
+def _kink_spanning(r: float, n: int = 4) -> list[Interval]:
+    """n seeded intervals around the kink at 0, each end 10^U(-3, 0.3) from it."""
+    rng = random.Random(f"abs_pow:{r}")
+    return [Interval(-(10 ** rng.uniform(-3.0, 0.3)), 10 ** rng.uniform(-3.0, 0.3))
+            for _ in range(n)]
+
+
+# r = 2.3 and 3.7 have L1 residuals of 6.2e-12 and 1.4e-13 here without grading
+_NEAR_KINK = [(r, iv) for r in (2.3, 2.5, 3.0, 3.7) for iv in _kink_spanning(r)]
+
+
 def _abs_pow_mean(iv: Interval, r: float = 2.5):
     mpmath = __import__("mpmath")
     with mpmath.workdps(40):
@@ -190,6 +204,19 @@ class TestKinks:
     def test_identities_reach_rounding_noise(self, lemma):
         fd = parse_function_id("abs_pow:2.5")
         assert verify_identity(lemma, fd, _KINKED_IDENTITY) <= 1e-13
+
+    @pytest.mark.parametrize("lemma", ["L1", "L2"])
+    def test_kink_edge_identities_reach_rounding_noise(self, lemma):
+        # the panel ending at the kink claimed convergence with an estimate
+        # of 6.7e-11 while L1 missed by 6.2e-10; graded, it is exact
+        fd = parse_function_id("abs_pow:2.5")
+        assert verify_identity(lemma, fd, _KINK_EDGE) <= 1e-13
+
+    @pytest.mark.parametrize("lemma", ["L1", "L2"])
+    @pytest.mark.parametrize("r,iv", _NEAR_KINK, ids=[f"{r}-{iv.a:.3g}-{iv.b:.3g}"
+                                                      for r, iv in _NEAR_KINK])
+    def test_identities_near_the_kink(self, lemma, r, iv):
+        assert verify_identity(lemma, parse_function_id(f"abs_pow:{r}"), iv) <= 1e-13
 
     @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 0.0), Interval(1.0, 2.0)])
     def test_kink_on_or_outside_an_endpoint_is_no_breakpoint(self, iv):
@@ -500,6 +527,21 @@ class TestIdentities:
     def test_unknown_lemma(self):
         with pytest.raises(ValueError):
             verify_identity("L3", parse_function_id("exp"), _UNIT)
+
+    @pytest.mark.parametrize("label,a,b", [("recip", 0.3, 3.7), ("abs_pow:2.5", -1.0, 2.0)])
+    def test_lemma2_takes_each_outer_derivative_once(self, label, a, b):
+        # f'(x(s)) of an outer node is read at every inner level of its integral
+        fd, scalar_args = parse_function_id(label), []
+
+        def deriv(x):
+            if isinstance(x, float):
+                scalar_args.append(x)
+            return fd.deriv(x)
+
+        counted = dataclasses.replace(fd, deriv=deriv)
+        assert verify_identity("L2", counted, Interval(a, b)) == verify_identity(
+            "L2", fd, Interval(a, b))
+        assert len(scalar_args) == len(set(scalar_args)) > 0
 
     @pytest.mark.parametrize("label,a,b", [("exp", 0.0, 1.0), ("ln", -1.0, 1.0)])
     def test_unknown_lemma_rejected_before_the_domain_and_any_integral(

@@ -215,6 +215,14 @@ class TestCheckConvexity:
         with pytest.raises(DomainViolation):
             check_convexity(np.log, Interval(-1.0, 1.0))
 
+    def test_interval_wider_than_the_float_maximum(self):
+        # b - a overflows; the grid still runs from a to b without a warning
+        iv = Interval(-1e308, 1.7e308)
+        seen = []
+        rep = check_convexity(lambda x: seen.append(np.copy(x)) or x, iv, grid_points=9)
+        assert rep.verdict == NO_VIOLATION
+        assert (seen[0][0], seen[0][-1]) == (iv.a, iv.b)
+
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
             check_convexity(lambda x: x, Interval(1.0, 1.0))
@@ -412,6 +420,12 @@ def test_declared_hypothesis_agrees_with_the_sampled_scan(label):
             scale = max(float(g(iv.a)), float(g(iv.b)))
             rep = check_convexity(lambda x: g(x) / scale, iv, grid_points=33)
             assert rep.verdict == NO_VIOLATION, (iv, q, rep)
+
+
+@pytest.mark.parametrize("r,kinks", [(2.0, ()), (4.0, ()), (3.0, (0.0,)), (2.5, (0.0,))])
+def test_abs_pow_declares_a_kink_only_where_f_prime_has_one(r, kinks):
+    # for an even integer r, f' = r x^(r-1) is a polynomial
+    assert lookup_function("abs_pow", [r]).kinks == kinks
 
 
 def test_kinks_inside_is_the_open_interval():

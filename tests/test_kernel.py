@@ -107,7 +107,8 @@ class TestNumericMoment:
     @pytest.mark.parametrize(
         "p,tol",
         [(1.0, 1e-9), (1.0, 1e-10)]
-        + [(p, 1e-10) for p in (1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 7.0, 20.0, 1000.0)],
+        + [(p, 1e-10) for p in (1.01, 1.05, 1.1, 1.25, 1.5, 1.9, 2.0, 2.5, 3.0, 3.3, 7.0, 7.5,
+                                20.0, 1000.0)],
     )
     def test_error_estimate_covers_the_true_error(self, p, tol):
         mpmath = pytest.importorskip("mpmath")

@@ -13,7 +13,7 @@ from hhcert.bounds import _lemma2_integrand
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import NonFiniteEvaluation
 from hhcert.kernel import _moment_integrand, kernel_m
-from hhcert.quadrature import QuadratureResult, integrate_1d, integrate_2d
+from hhcert.quadrature import QuadratureResult, graded_map, integrate_1d, integrate_2d
 
 
 @pytest.mark.parametrize(
@@ -53,6 +53,59 @@ def test_kink_without_breakpoint_still_converges():
     assert res.converged
     assert res.subdivisions > 0
     assert res.value == pytest.approx(5.0 / 18.0, abs=1e-9)
+
+
+class TestGradedMap:
+    # [-1, -0.25] is graded toward its upper end; each panel after it has a
+    # graded point at both ends and is split at its midpoint (0.625 for [0.5, 0.75])
+    _EDGES = (-1.0, -0.25, 0.5, 0.75, 2.0)
+    _TOWARD = (-0.25, 0.5, 0.75, 2.0)
+
+    def test_maps_every_edge_onto_itself_and_is_monotone(self):
+        phi = graded_map(self._EDGES, self._TOWARD)
+        x, dx = phi(np.array(self._EDGES + (0.625,)))
+        assert x.tolist() == list(self._EDGES + (0.625,))
+        assert dx.tolist() == [2.0, 0.0, 0.0, 0.0, 0.0, 2.0]
+        x, dx = phi(np.linspace(-1.0, 2.0, 30001))
+        assert np.all(np.diff(x) > 0.0) and np.all(dx >= 0.0)
+
+    def test_scalar_and_array_arguments_agree(self):
+        phi = graded_map(self._EDGES, self._TOWARD)
+        u = np.linspace(-1.0, 2.0, 97)
+        x, dx = phi(u)
+        for j, v in enumerate(u.tolist()):
+            assert tuple(map(float, phi(v))) == (x[j], dx[j])
+
+    @settings(max_examples=50)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6, unique=True), st.data())
+    def test_graded_points_exact_and_other_edges_up_to_rounding(self, edges, data):
+        # a panel's far end is k + (end - k): two roundings at the scale of the edges
+        toward = data.draw(st.lists(st.sampled_from(edges), max_size=3))
+        phi = graded_map(edges, toward)
+        edges = sorted(edges)
+        scale = max(map(abs, edges))
+        for e, x in zip(edges, phi(np.array(edges))[0].tolist()):
+            assert x == e if e in toward else abs(x - e) <= 2 * math.ulp(scale)
+        for lo, hi in zip(edges, edges[1:]):
+            x = phi(np.linspace(lo, hi, 101)[:-1])[0]
+            assert np.all(np.diff(x) >= 0.0)
+
+    @pytest.mark.parametrize("lo,k,hi", [(-1.0, 0.3, 2.0), (0.0, 0.5, 1.0), (-2.5, -0.7, 0.1)])
+    def test_power_of_the_distance_to_an_interior_edge(self, lo, k, hi):
+        # graded, |x - k|^1.5 dx is 2 |H|^2.5 w^4 du on each side of k
+        mpmath = pytest.importorskip("mpmath")
+        phi = graded_map((lo, k, hi), (k,))
+
+        def g(u):
+            x, dx = phi(u)
+            return np.abs(x - k) ** 1.5 * dx
+
+        res = integrate_1d(g, Interval(lo, hi), breakpoints=(k,))
+        with mpmath.workdps(50):
+            exact = float(((mpmath.mpf(k) - lo) ** 2.5 + (hi - mpmath.mpf(k)) ** 2.5) / 2.5)
+        assert res.converged and res.subdivisions == 0
+        # the 15-digit Kronrod weights bias every result by about 3e-15 relative
+        assert abs(res.value - exact) <= min(res.error_estimate, 32 * 2.0**-52 * exact)
 
 
 def test_degenerate_interval_is_zero():
@@ -264,8 +317,15 @@ def _kernel_integrand(p):
     return lambda t, s: abs(kernel_m(t) - kernel_m(s)) ** p
 
 
-def _lemma2(fn, a, b):
-    return _lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b)
+def _graded_kernel(p):
+    """The kernel integrand with its y edge graded, as kernel_p_numeric composes it."""
+    integrand, edge = _moment_integrand(p), graded_map((0.0, 1.0), (0.0,))
+    return lambda x, z: (lambda y, dy: integrand(x, y) * dy)(*edge(z))
+
+
+def _lemma2(fn, a, b, graded_t=()):
+    phi = graded_map((0.0, 0.5, *graded_t, 1.0), graded_t) if graded_t else None
+    return _lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b, phi)
 
 
 _SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints_t": (0.5,), "breakpoints_s": (0.5,)}
@@ -282,6 +342,9 @@ class TestBatchedInnerIntegrals:
             pytest.param(_kernel_integrand(2.0), _SPLIT_AT_HALF, id="kernel-p2"),
             pytest.param(_kernel_integrand(3.0), _SPLIT_AT_HALF, id="kernel-p3"),
             pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7), _SPLIT_AT_HALF, id="L2-abs_pow"),
+            pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7, (0.7 / 2.7,)),
+                         {"tol": 1e-10, "breakpoints_t": (0.5, 0.7 / 2.7),
+                          "breakpoints_s": (0.5, 0.7 / 2.7)}, id="L2-abs_pow-graded"),
             pytest.param(_lemma2("recip", 0.15, 0.9), _SPLIT_AT_HALF, id="L2-recip"),
             pytest.param(_lemma2("pow:3", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-pow3"),
             pytest.param(_lemma2("exp", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-exp"),
@@ -292,6 +355,7 @@ class TestBatchedInnerIntegrals:
             pytest.param(lambda t, s: abs(t - s), {"tol": 1e-7}, id="abs-diff"),
             pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
             pytest.param(_moment_integrand(1.1), {"tol": 1e-10}, id="mapped-kernel-p1.1"),
+            pytest.param(_graded_kernel(1.1), {"tol": 1e-10}, id="graded-kernel-p1.1"),
         ],
     )
     def test_matches_one_node_at_a_time(self, g, kwargs):
