@@ -198,7 +198,8 @@ def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> tuple[SandwichRep
         return SandwichReport(lower=fa, middle=fa, upper=fa, ordered=True), 0.0
     lower, middle, d1, d2 = values
     upper = 0.5 * (fa + float(eval_elementwise(fd.eval, iv.b)))
-    violation = max(-d1, -(upper - middle if d2 is None else finite_gap(d2)), 0.0)
+    # 0.0 first: max keeps the first of equal values, and -d1 is -0.0 when f is affine
+    violation = max(0.0, -d1, -(upper - middle if d2 is None else finite_gap(d2)))
     sandwich = SandwichReport(lower=lower, middle=middle, upper=upper,
                               ordered=violation <= ORDER_SLACK)
     return sandwich, violation
@@ -273,11 +274,14 @@ def _report(
     if not iv.is_degenerate:
         da = abs(float(eval_elementwise(fd.deriv, iv.a)))
         db = abs(float(eval_elementwise(fd.deriv, iv.b)))
+    # every bound is linear in the width; past the float maximum b - a
+    # overflows, and the bound comes from the half-width, doubled
+    scale, width = (1.0, iv.width) if math.isfinite(iv.width) else (2.0, 0.5 * iv.b - 0.5 * iv.a)
     values = None
     hypotheses: dict[float, ConvexityReport] = {}
     reports = []
     for theorem in theorems:
-        bound = _bound(theorem, q, iv.width, da, db)
+        bound = scale * _bound(theorem, q, width, da, db)
         hyp_q = 2.0 if theorem == "T2" else q
         if values is None and not iv.is_degenerate:
             values = _case_values(fd, iv, tol)

@@ -13,6 +13,9 @@ cheap.  Scalar-only integrands work too, via an elementwise fallback.  One
 refinement loop serves both entry points: it runs K independent integrals over
 the same breakpoints in lockstep, one integrand call per level for all of
 them, while each integral keeps the arithmetic it would have on its own.
+The batch is only an evaluation order: integrate_2d reruns an outer level's
+inner integrals one at a time whenever its batch fails, so an error comes
+from the same run that serves as the reference.
 """
 
 from __future__ import annotations
@@ -158,15 +161,14 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     more than that are in flight at once.
 
     ``evaluate(nodes, owners, counts)`` gets the (rows, 15) nodes of the
-    integrals ``owners`` (ascending, ``counts`` rows each) and returns
-    ``(y, failed)``: the integrand values, and None or ``(j, exc)`` when
-    integral ``owners[j]`` raised exc, in which case only the rows of the
-    integrals before it are valid.  An integral also fails on a non-finite
-    integrand value (NonFiniteEvaluation) and on a panel estimate, value or
-    error estimate beyond the float range (OverflowError(ERANGE)).  When
-    integrals fail, the error of the lowest-numbered one is raised, once
-    every integral below it is done: what running them one at a time would
-    raise.
+    integrals ``owners`` (ascending, ``counts`` rows each) and returns the
+    integrand values there.  A non-finite value raises NonFiniteEvaluation
+    and a panel estimate beyond the float range OverflowError(ERANGE), at
+    the first level that meets one, whichever integral it belongs to; a
+    value or error estimate beyond the float range raises the latter once
+    all are done.  With n = 1 that is the integral's own error; with more,
+    a caller that needs the error of the lowest failing integral reruns
+    them one at a time, as integrate_2d does.
 
     Returns arrays of the n values, error estimates, depths and converged
     flags.
@@ -179,56 +181,29 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
         sums = np.zeros((2, n))  # one finiteness check at the end covers both rows
         value, error = sums
         depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-        fail_at, fail_exc = n, None
         chunk = max(1, _MAX_PANELS // lows0.size)
 
         for first in range(0, n, chunk):
-            if first >= fail_at:
-                break
             owners = np.arange(first, min(first + chunk, n))
             m = owners.size
             lows, highs = (lows0, highs0) if m == 1 else (np.tile(lows0, m), np.tile(highs0, m))
             stack = [(owners, np.full(m, lows0.size), lows, highs, 0)]
             while stack:
                 owners, counts, lows, highs, depth = stack.pop()
-                if owners[-1] >= fail_at:
-                    m = int(owners.searchsorted(fail_at))
-                    rows = int(counts[:m].sum())
-                    owners, counts, lows, highs = owners[:m], counts[:m], lows[:rows], highs[:rows]
-                while owners.size:
+                while True:
                     centers, halfw = _halves(lows, highs)
                     nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
-                    y, failed = evaluate(nodes, owners, counts)
+                    y = evaluate(nodes, owners, counts)
+                    finite = np.isfinite(y)
+                    if not finite.all():
+                        x = float(nodes.ravel()[np.argmin(finite)])
+                        raise NonFiniteEvaluation(f"integrand not finite at x={x!r}")
                     sums_k, sums_g = _block_products(y, counts)
                     ik = halfw * sums_k
                     ig = halfw * sums_g
                     err = np.abs(ik - ig)
-
-                    # the first integral that cannot go on: the one evaluate
-                    # reports, or the owner of an earlier non-finite value, or of
-                    # an earlier panel estimate beyond the float range; the
-                    # integrals before it go on with this level's values
-                    m, exc = (owners.size, None) if failed is None else failed
-                    rows = int(counts[:m].sum()) if m < owners.size else lows.size
-                    finite = np.isfinite(y[:rows])
-                    if not finite.all():
-                        flat = int(np.argmin(finite))
-                        m = int(np.cumsum(counts).searchsorted(flat // _XK.size, side="right"))
-                        x = float(nodes.ravel()[flat])
-                        exc = NonFiniteEvaluation(f"integrand not finite at x={x!r}")
-                        rows = int(counts[:m].sum())
-                    finite = np.isfinite(err[:rows])
-                    if not finite.all():
-                        m = int(np.cumsum(counts).searchsorted(int(np.argmin(finite)), side="right"))
-                        exc = range_error()
-                        rows = int(counts[:m].sum())
-                    if exc is not None:
-                        fail_at, fail_exc = int(owners[m]), exc
-                        if m == 0:
-                            break
-                        owners, counts, lows, highs = owners[:m], counts[:m], lows[:rows], highs[:rows]
-                        centers, halfw = centers[:rows], halfw[:rows]
-                        ik, err = ik[:rows], err[:rows]
+                    if not np.isfinite(err).all():
+                        raise range_error()
 
                     # Proportional budgets keep the sum of accepted errors below
                     # tol; the rounding floor stops pointless splitting once the
@@ -293,12 +268,8 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
                         owners, counts = owners[:cut], counts[:cut]
                         lows, highs = lows[:rows], highs[:rows]
 
-        # the integrals below fail_at ran to the end; alone, the first of them
-        # whose sum left the float range would have raised first
-        if not np.isfinite(sums[:, :fail_at]).all():
+        if not np.isfinite(sums).all():
             raise range_error()
-        if fail_exc is not None:
-            raise fail_exc
         return value, error, depth_of, converged
 
 
@@ -322,7 +293,7 @@ def integrate_1d(
         return QuadratureResult(0.0, 0.0, 0, True)
     edges = [iv.a, *_clean_breakpoints(breakpoints, iv.a, iv.b), iv.b]
     value, error, depth, converged = _refine(
-        lambda nodes, owners, counts: (eval_elementwise(g, nodes), None), edges, 1, tol
+        lambda nodes, owners, counts: eval_elementwise(g, nodes), edges, 1, tol
     )
     return QuadratureResult(float(value[0]), float(error[0]), int(depth[0]), bool(converged[0]))
 
@@ -405,12 +376,13 @@ def integrate_2d(
     the result must equal g(t_row, float(s_row)) bit for bit; elementwise
     numpy arithmetic does, but a function that rounds differently on arrays
     than on Python floats (as some catalog derivatives do) must evaluate its
-    s-dependent part one float at a time.  If that call raises or returns
-    another shape, g is called per outer node as g(t, s) with a Python float
-    s, and one scalar t at a time where that array call fails too, so
-    scalar-only integrands keep working.  The result is bit for bit that of
-    integrating one outer node at a time, and so is the error raised: that
-    of the lowest outer node that fails.
+    s-dependent part one float at a time.  The result is bit for bit that of
+    integrating one outer node at a time, as integrate_1d(lambda t: g(t, s))
+    with a Python float s.  If the batched call raises or returns another
+    shape, or an inner integral fails, the outer level's inner integrals are
+    rerun that way, in order: scalar-only integrands get their values from
+    the rerun, and the error raised is that of the lowest outer node that
+    fails.
 
     Breakpoints are per-axis constants, so a C0 crease whose t-location moves
     with s (such as |t - s| along the diagonal) cannot be pre-split; on such
@@ -432,26 +404,23 @@ def integrate_2d(
         s_all = s_nodes.ravel()
 
         def evaluate(t, owners, counts):
-            s = s_all[owners]
-            try:
-                with np.errstate(all="ignore"):
-                    y = np.asarray(g(t, np.repeat(s, counts)[:, None]), dtype=float)
-                if y.shape == t.shape:
-                    return y, None
-            except Exception:
-                pass
-            y = np.empty_like(t)
-            row = 0
-            for j, (s_j, c) in enumerate(zip(s.tolist(), counts.tolist())):
-                try:
-                    y[row:row + c] = eval_elementwise(lambda t_j: g(t_j, s_j), t[row:row + c])
-                except Exception as exc:
-                    return y, (j, exc)
-                row += c
-            return y, None
+            with np.errstate(all="ignore"):
+                y = np.asarray(g(t, np.repeat(s_all[owners], counts)[:, None]), dtype=float)
+            if y.shape != t.shape:
+                raise ValueError(f"integrand gave shape {y.shape} for nodes of shape {t.shape}")
+            return y
 
-        levels.append(_refine(evaluate, t_edges, s_all.size, inner_tol))
-        return levels[-1][0].reshape(s_nodes.shape), None
+        try:
+            level = _refine(evaluate, t_edges, s_all.size, inner_tol)
+        except Exception:
+            # one outer node at a time: the values of an integrand the batched
+            # call does not suit, or the error of the lowest failing node
+            runs = [integrate_1d(lambda t: g(t, s), Interval(0.0, 1.0), inner_tol, breakpoints_t)
+                    for s in s_all.tolist()]
+            level = [np.array(field) for field in zip(*(
+                (r.value, r.error_estimate, r.subdivisions, r.converged) for r in runs))]
+        levels.append(level)
+        return level[0].reshape(s_nodes.shape)
 
     value, error, depth, converged = _refine(outer_level, s_edges, 1, 0.9 * tol)
     _, inner_err, inner_depth, inner_conv = (np.concatenate(a) for a in zip(*levels))

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, determinism, exit statuses."""
 
 import dataclasses
+import decimal
 import inspect
 import json
 import math
@@ -537,9 +538,34 @@ def test_range_errors_keep_the_integral_message(capsys, argv, err):
 
 
 def test_verify_over_an_interval_wider_than_the_float_maximum(capsys):
-    # b - a overflows in the HH scan's grid too: no warning, no false domain error
-    code = cli.main(["verify", "--fn", "pow:1", "--interval", _NEG_1E308, "1.7e308"])
-    assert (code, capsys.readouterr().err) == (0, "")
+    # b - a overflows in the HH scan's grid too: no warning, no false domain
+    # error; the bounds, linear in b - a, are finite
+    argv = ["verify", "--fn", "pow:1", "--interval", _NEG_1E308, "1.7e308", "--format", "json"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    printed = {r["theorem"]: r["bound"] for r in json.loads(captured.out)["records"]}
+    with decimal.localcontext(decimal.Context(prec=40)):
+        width = decimal.Decimal(1.7e308) - decimal.Decimal(float(_NEG_1E308))
+        # |f'| = 1 at both ends; T3's constant at q = 2 is (2/12)^(1/2)
+        expected = {"T2": width / decimal.Decimal(6).sqrt(),
+                    "T3": width / decimal.Decimal(6).sqrt(),
+                    "KO": width * decimal.Decimal(3).sqrt() / 4}
+        for theorem, reference in expected.items():
+            assert abs(decimal.Decimal(printed[theorem]) - reference) <= 4 * decimal.Decimal(sys.float_info.epsilon) * reference
+
+
+@pytest.mark.parametrize("fmt,hh_row", [
+    ("text", "  HH  case_id=0  gap=0  bound=1e-10  ratio=0  holds=true"),
+    ("json", '"theorem": "HH", "gap": 0, "bound": 1e-10, "ratio": 0,'),
+    ("csv", "0,0,1,,HH,0,1e-10,0,"),
+], ids=["text", "json", "csv"])
+def test_hh_gap_of_an_affine_function_is_zero_not_minus_zero(capsys, fmt, hh_row):
+    # both signed gaps of an affine f are +0.0; the worst violation is 0, not -0
+    assert cli.main(["verify", "--fn", "pow:1", "--interval", "0", "1", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hh_row in out
+    assert "-0" not in out
 
 
 # x^n's exact gaps would need integers of about |n| x 53 bits here (minutes and

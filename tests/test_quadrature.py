@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhcert import quadrature
-from hhcert.bounds import _lemma2_integrand
+from hhcert.bounds import _lemma2_integrand, verify_identity
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import NonFiniteEvaluation
-from hhcert.kernel import _moment_integrand, kernel_m
+from hhcert.kernel import _moment_integrand, kernel_m, kernel_p_numeric
 from hhcert.quadrature import QuadratureResult, graded_map, integrate_1d, integrate_2d
 
 
@@ -356,6 +356,8 @@ class TestBatchedInnerIntegrals:
             pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
             pytest.param(_moment_integrand(1.1), {"tol": 1e-10}, id="mapped-kernel-p1.1"),
             pytest.param(_graded_kernel(1.1), {"tol": 1e-10}, id="graded-kernel-p1.1"),
+            pytest.param(lambda t, s: np.sqrt(t) + math.sin(s), {"tol": 1e-10},
+                         id="array-t-float-s"),
         ],
     )
     def test_matches_one_node_at_a_time(self, g, kwargs):
@@ -452,3 +454,32 @@ class TestBatchedInnerIntegrals:
             assert not res.converged
             assert res.subdivisions == 12
         assert peaks[1] <= 2.0 * peaks[0]
+
+
+# the L2 goldens, TestBatchedInnerIntegrals' graded abs_pow case, and one
+# interval for every other catalog entry
+_SHIPPED_L2 = [
+    ("abs_pow:2.5", -1.0, 2.0), ("abs_pow:2.5", -2.0, 0.7), ("recip", 0.5, 3.0),
+    ("pow:3", -1.0, 2.0), ("exp", -1.0, 2.0), ("ln", 0.5, 3.0), ("neg_ln", 0.5, 3.0),
+    ("pow:1", 0.0, 2.0), ("pow:-1", 0.5, 3.0), ("pow:-2", 1.0, 3.0),
+]
+
+
+@pytest.mark.parametrize(
+    "certify",
+    [pytest.param(lambda p=p: kernel_p_numeric(p), id=f"kernel-p{p}")
+     for p in (1.0, 1.1, 1.5, 2.0, 3.0, 3.7, 4.0)]
+    + [pytest.param(lambda c=c: verify_identity("L2", parse_function_id(c[0]), Interval(*c[1:])),
+                    id=f"L2-{c[0]}[{c[1]}, {c[2]}]") for c in _SHIPPED_L2],
+)
+def test_shipped_integrands_never_take_the_one_node_rerun(monkeypatch, certify):
+    # the rerun keeps every bit, so only a count shows the batching was lost
+    reruns = []
+
+    def counting(*args, **kwargs):
+        reruns.append(args)
+        return integrate_1d(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_1d", counting)
+    certify()
+    assert len(reruns) == 0
