@@ -329,7 +329,7 @@ def _abs_pow_gaps(r: float) -> Callable[[float, float], tuple[float, float]]:
 
 
 def _require_integer(name: str, value: float) -> int:
-    if value != int(value):
+    if not (math.isfinite(value) and value == int(value)):
         raise InvalidParameter(f"{name} requires an integer exponent, got {value}")
     return int(value)
 

@@ -26,8 +26,8 @@ corner where |m(t) - m(s)| vanishes, graded toward the diagonal edge in the
 manner of Sidi's transformations (ISNM 112, 1993).  No panel then holds a
 crease, so the embedded estimate covers the true error.  The mapped pieces
 carry a factor r^(p+1), which is not smooth at the edge y = 0 for a
-non-integer p; kernel_p_numeric grades that edge as well (y = z^2, through
-quadrature.graded_map) for the p where that saves refinement levels.
+non-integer p; the integrand grades that edge as well (y = z^2) for the p
+where that saves refinement levels.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, OutOfRange
-from .quadrature import QuadratureResult, graded_map, integrate_2d
+from .quadrature import QuadratureResult, integrate_2d
 
 
 def kernel_m(t):
@@ -110,10 +110,20 @@ def _moment_integrand(p: float):
 
     Each piece is then r^(p+1) times a function of x that is smooth on
     [0, 1), so the only non-smooth points lie on the edges y = 0 and x = 1.
-    All eight coordinate arrays go through one kernel_m call.
+    For a non-integer p below 4 the edge y = 0 is graded as well: the
+    integrand takes z with y = z^2 and carries the Jacobian 2z.  All eight
+    coordinate arrays go through one kernel_m call.
     """
+    # An integer p leaves r^(p+1) a polynomial, which grading only raises in
+    # degree.  Below p = 4 grading y saves levels (on a 2-core Xeon, p = 1.1:
+    # 6.2 -> 3.4 ms, p = 3.7: 0.60 -> 0.28 ms); from there on the plain edge
+    # already converges at depth 0, and past p = 5 the graded 2 z^(2p+3)
+    # outgrows the degree 13 that the 7-point Gauss rule integrates exactly
+    # and costs levels (p = 7.5: 0.61 -> 1.80 ms, p = 100.5: 7.1 -> 9.4 ms).
+    graded = p != math.floor(p) and p < 4.0
 
-    def integrand(x, y):
+    def integrand(x, z):
+        y = z * z if graded else z
         r = 0.5 * y
         w = 1.0 - x
         ru_diag = r * (1.0 - w * w)
@@ -126,7 +136,8 @@ def _moment_integrand(p: float):
         coords[6], coords[7] = 1.0 - ru_cross, r           # J3
         m = kernel_m(coords)
         d = np.abs(m[0::2] - m[1::2]) ** p
-        return r * ((2.0 * w) * (d[0] + d[1]) + (d[2] + d[3]))
+        pieces = r * ((2.0 * w) * (d[0] + d[1]) + (d[2] + d[3]))
+        return pieces * (2.0 * z) if graded else pieces
 
     return integrand
 
@@ -136,24 +147,6 @@ def kernel_p_numeric(p: float, tol: float = 1e-10) -> QuadratureResult:
 
     The integrand is the quarter pieces mapped so that no crease lies inside
     a panel (see _moment_integrand), so the embedded error estimate covers
-    the true error, and every evaluation goes through kernel_m.  For a
-    non-integer p below 4 the edge y = 0, where r^(p+1) is not smooth, is
-    graded as well: y = z^2 with Jacobian 2z.
+    the true error, and every evaluation goes through kernel_m.
     """
-    p = _validate_p(p)
-    integrand = _moment_integrand(p)
-    # An integer p leaves r^(p+1) a polynomial, which grading only raises in
-    # degree.  Below p = 4 grading y saves levels (on a 2-core Xeon, p = 1.1:
-    # 6.2 -> 3.4 ms, p = 3.7: 0.60 -> 0.28 ms); from there on the plain edge
-    # already converges at depth 0, and past p = 5 the graded 2 z^(2p+3)
-    # outgrows the degree 13 that the 7-point Gauss rule integrates exactly
-    # and costs levels (p = 7.5: 0.61 -> 1.80 ms, p = 100.5: 7.1 -> 9.4 ms).
-    if p == math.floor(p) or p >= 4.0:
-        return integrate_2d(integrand, tol)
-    edge = graded_map((0.0, 1.0), (0.0,))
-
-    def graded(x, z):
-        y, dy = edge(z)
-        return integrand(x, y) * dy
-
-    return integrate_2d(graded, tol)
+    return integrate_2d(_moment_integrand(_validate_p(p)), tol)

@@ -13,9 +13,10 @@ cheap.  Scalar-only integrands work too, via an elementwise fallback.  One
 refinement loop serves both entry points: it runs K independent integrals over
 the same breakpoints in lockstep, one integrand call per level for all of
 them, while each integral keeps the arithmetic it would have on its own.
-The batch is only an evaluation order: integrate_2d reruns an outer level's
-inner integrals one at a time whenever its batch fails, so an error comes
-from the same run that serves as the reference.
+The batch is only an evaluation order: it finishes only when every integral
+in it converges, and integrate_2d reruns an outer level's inner integrals one
+at a time whenever its batch fails or would stop early, so an error or a
+non-converged result comes from the same run that serves as the reference.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ def _halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return centers, halfw
 
 
+class _Unfinished(Exception):
+    """A batch of integrals would stop before each one converged."""
+
+
 def _refine(evaluate, edges: list[float], n: int, tol: float):
     """Run n independent adaptive integrals over [edges[0], edges[-1]].
 
@@ -155,10 +160,7 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     refined as if it ran alone: its panels form one contiguous block of rows
     in its own panel order, its Kronrod and Gauss sums come from a product
     over that block alone, and its value and error add up the same partial
-    sums in the same order.  All integrals in a group share one evaluate
-    call per level.  Integrals are taken in chunks, and a group is split
-    whenever its next level would hold more than _MAX_PANELS panels, so no
-    more than that are in flight at once.
+    sums in the same order.  All integrals share one evaluate call per level.
 
     ``evaluate(nodes, owners, counts)`` gets the (rows, 15) nodes of the
     integrals ``owners`` (ascending, ``counts`` rows each) and returns the
@@ -166,8 +168,13 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     and a panel estimate beyond the float range OverflowError(ERANGE), at
     the first level that meets one, whichever integral it belongs to; a
     value or error estimate beyond the float range raises the latter once
-    all are done.  With n = 1 that is the integral's own error; with more,
-    a caller that needs the error of the lowest failing integral reruns
+    all are done.  With n = 1, an integral whose next level would pass
+    MAX_DEPTH or hold more than _MAX_PANELS panels stops, adds its rejected
+    panels as they are and is reported as not converged.  With more, the
+    batch finishes only when every integral converges: where one would stop
+    early, or a level would hold more than _MAX_PANELS panels in all, it
+    raises _Unfinished.  A caller of a batch that needs the error of the
+    lowest failing integral, or the results of one that stops early, reruns
     them one at a time, as integrate_2d does.
 
     Returns arrays of the n values, error estimates, depths and converged
@@ -176,97 +183,84 @@ def _refine(evaluate, edges: list[float], n: int, tol: float):
     # a panel estimate or running sum past the float range is caught below
     # as a value, not as a numpy warning; evaluate silences the integrand's own
     with np.errstate(over="ignore", invalid="ignore"):
-        lows0, highs0 = np.array(edges[:-1]), np.array(edges[1:])
+        lows, highs = np.array(edges[:-1]), np.array(edges[1:])
         half_width = 0.5 * edges[-1] - 0.5 * edges[0]  # finite however wide
         sums = np.zeros((2, n))  # one finiteness check at the end covers both rows
         value, error = sums
         depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-        chunk = max(1, _MAX_PANELS // lows0.size)
+        owners, counts, depth = np.arange(n), np.full(n, lows.size), 0
+        if n > 1:
+            lows, highs = np.tile(lows, n), np.tile(highs, n)
+        while True:
+            if n > 1 and lows.size > _MAX_PANELS:
+                raise _Unfinished
+            centers, halfw = _halves(lows, highs)
+            nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
+            y = evaluate(nodes, owners, counts)
+            finite = np.isfinite(y)
+            if not finite.all():
+                x = float(nodes.ravel()[np.argmin(finite)])
+                raise NonFiniteEvaluation(f"integrand not finite at x={x!r}")
+            sums_k, sums_g = _block_products(y, counts)
+            ik = halfw * sums_k
+            ig = halfw * sums_g
+            err = np.abs(ik - ig)
+            if not np.isfinite(err).all():
+                raise range_error()
 
-        for first in range(0, n, chunk):
-            owners = np.arange(first, min(first + chunk, n))
-            m = owners.size
-            lows, highs = (lows0, highs0) if m == 1 else (np.tile(lows0, m), np.tile(highs0, m))
-            stack = [(owners, np.full(m, lows0.size), lows, highs, 0)]
-            while stack:
-                owners, counts, lows, highs, depth = stack.pop()
-                while True:
-                    centers, halfw = _halves(lows, highs)
-                    nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
-                    y = evaluate(nodes, owners, counts)
-                    finite = np.isfinite(y)
-                    if not finite.all():
-                        x = float(nodes.ravel()[np.argmin(finite)])
-                        raise NonFiniteEvaluation(f"integrand not finite at x={x!r}")
-                    sums_k, sums_g = _block_products(y, counts)
-                    ik = halfw * sums_k
-                    ig = halfw * sums_g
-                    err = np.abs(ik - ig)
-                    if not np.isfinite(err).all():
-                        raise range_error()
+            # Proportional budgets keep the sum of accepted errors below
+            # tol; the rounding floor stops pointless splitting once the
+            # pair difference is at machine-noise scale for the panel.
+            budget = tol * halfw / half_width
+            floor = 50.0 * _EPS * np.abs(ik)
+            accept = (err <= budget) | (err <= floor)
+            rejected = ~accept
 
-                    # Proportional budgets keep the sum of accepted errors below
-                    # tol; the rounding floor stops pointless splitting once the
-                    # pair difference is at machine-noise scale for the panel.
-                    budget = tol * halfw / half_width
-                    floor = 50.0 * _EPS * np.abs(ik)
-                    accept = (err <= budget) | (err <= floor)
-                    rejected = ~accept
-
-                    if owners.size == 1:
-                        # one integral (every integrate_1d call): scalar bookkeeping,
-                        # as the per-owner array version below made such calls 70 % slower
-                        k = owners[0]
-                        value[k] += ik[accept].sum()
-                        error[k] += err[accept].sum()
-                        n_rej = np.count_nonzero(rejected)
-                        if n_rej and depth < MAX_DEPTH and 2 * n_rej <= _MAX_PANELS:
-                            lo_r, hi_r, mid_r = lows[rejected], highs[rejected], centers[rejected]
-                            lows = np.concatenate([lo_r, mid_r])
-                            highs = np.concatenate([mid_r, hi_r])
-                            counts = np.array([lows.size])
-                            depth += 1
-                            continue
-                        if n_rej:
-                            value[k] += ik[rejected].sum()
-                            error[k] += err[rejected].sum()
-                        depth_of[k], converged[k] = depth, n_rej == 0 and error[k] <= tol
-                        break
-
-                    n_rej = np.diff(np.cumsum(rejected)[np.cumsum(counts) - 1], prepend=0)
-                    value[owners] += _segment_sums(ik[accept], counts - n_rej)
-                    error[owners] += _segment_sums(err[accept], counts - n_rej)
-                    stop = (n_rej == 0) | (depth >= MAX_DEPTH) | (2 * n_rej > _MAX_PANELS)
-                    gave_up = stop & (n_rej > 0)
-                    if gave_up.any():
-                        rows = rejected & np.repeat(gave_up, counts)
-                        value[owners[gave_up]] += _segment_sums(ik[rows], n_rej[gave_up])
-                        error[owners[gave_up]] += _segment_sums(err[rows], n_rej[gave_up])
-                    done = owners[stop]
-                    depth_of[done] = depth
-                    converged[done] = (n_rej[stop] == 0) & (error[done] <= tol)
-                    if stop.all():
-                        break
-
-                    # each continuing integral's next block is the lower halves
-                    # of its rejected panels, then their upper halves, as alone
-                    going = ~stop
-                    idx = np.flatnonzero(rejected & np.repeat(going, counts))
-                    n_keep = n_rej[going]
-                    lower = np.repeat(np.cumsum(n_keep) - n_keep, n_keep) + np.arange(idx.size)
-                    upper = lower + np.repeat(n_keep, n_keep)
-                    lo_r, hi_r, mid_r = lows[idx], highs[idx], centers[idx]
-                    lows, highs = np.empty(2 * idx.size), np.empty(2 * idx.size)
-                    lows[lower], lows[upper] = lo_r, mid_r
-                    highs[lower], highs[upper] = mid_r, hi_r
-                    owners, counts = owners[going], 2 * n_rej[going]
+            if owners.size == 1:
+                # one integral (every integrate_1d call): scalar bookkeeping,
+                # as the per-owner array version below made such calls 70 % slower
+                k = owners[0]
+                value[k] += ik[accept].sum()
+                error[k] += err[accept].sum()
+                n_rej = np.count_nonzero(rejected)
+                if n_rej and depth < MAX_DEPTH and 2 * n_rej <= _MAX_PANELS:
+                    lo_r, hi_r, mid_r = lows[rejected], highs[rejected], centers[rejected]
+                    lows = np.concatenate([lo_r, mid_r])
+                    highs = np.concatenate([mid_r, hi_r])
+                    counts = np.array([lows.size])
                     depth += 1
-                    if lows.size > _MAX_PANELS:
-                        cut = max(1, int(np.cumsum(counts).searchsorted(_MAX_PANELS, side="right")))
-                        rows = int(counts[:cut].sum())
-                        stack.append((owners[cut:], counts[cut:], lows[rows:], highs[rows:], depth))
-                        owners, counts = owners[:cut], counts[:cut]
-                        lows, highs = lows[:rows], highs[:rows]
+                    continue
+                if n_rej:
+                    if n > 1:
+                        raise _Unfinished
+                    value[k] += ik[rejected].sum()
+                    error[k] += err[rejected].sum()
+                depth_of[k], converged[k] = depth, n_rej == 0 and error[k] <= tol
+                break
+
+            n_rej = np.diff(np.cumsum(rejected)[np.cumsum(counts) - 1], prepend=0)
+            value[owners] += _segment_sums(ik[accept], counts - n_rej)
+            error[owners] += _segment_sums(err[accept], counts - n_rej)
+            done = n_rej == 0
+            finished = owners[done]
+            depth_of[finished], converged[finished] = depth, error[finished] <= tol
+            if finished.size == owners.size:
+                break
+            if depth >= MAX_DEPTH:
+                raise _Unfinished
+
+            # each continuing integral's next block is the lower halves
+            # of its rejected panels, then their upper halves, as alone
+            idx = np.flatnonzero(rejected)
+            n_keep = n_rej[~done]
+            lower = np.repeat(np.cumsum(n_keep) - n_keep, n_keep) + np.arange(idx.size)
+            upper = lower + np.repeat(n_keep, n_keep)
+            lo_r, hi_r, mid_r = lows[idx], highs[idx], centers[idx]
+            lows, highs = np.empty(2 * idx.size), np.empty(2 * idx.size)
+            lows[lower], lows[upper] = lo_r, mid_r
+            highs[lower], highs[upper] = mid_r, hi_r
+            owners, counts = owners[~done], 2 * n_keep
+            depth += 1
 
         if not np.isfinite(sums).all():
             raise range_error()
@@ -304,7 +298,8 @@ def graded_map(edges: Sequence[float], toward: Sequence[float]):
     ``edges`` are the panel edges of an integral over [min(edges),
     max(edges)], in any order.  Returns phi, a vectorized map u -> (x(u),
     dx/du) of that interval onto itself, to be composed into an integrand as
-    g(x(u)) dx/du over the same panels.  phi is the identity on a panel with
+    g(x(u)) dx/du over the same panels; it looks up the panel of each u, one
+    path for any number of panels.  phi is the identity on a panel with
     no end in ``toward``.  On a panel that ends at such a point k, with H the
     signed width from k to the panel's other end, it is x = k + H w^2 with
     w = (u - k)/H, so dx/du = 2w: an integrand like |x - k|^c near k becomes
@@ -334,16 +329,6 @@ def graded_map(edges: Sequence[float], toward: Sequence[float]):
             graded.append(k is not None)
             anchors.append(0.0 if k is None else k)
             widths.append(1.0 if k is None else end - k)
-
-    if len(starts) == 1 and graded[0]:
-        # one graded panel, such as the kernel's y edge: no per-node lookup
-        k, h = anchors[0], widths[0]
-
-        def phi(u):
-            w = (u - k) / h
-            return k + h * (w * w), 2.0 * w
-
-        return phi
 
     inner = np.array(starts[1:])
     anchors, widths, graded = np.array(anchors), np.array(widths), np.array(graded)
@@ -379,10 +364,11 @@ def integrate_2d(
     s-dependent part one float at a time.  The result is bit for bit that of
     integrating one outer node at a time, as integrate_1d(lambda t: g(t, s))
     with a Python float s.  If the batched call raises or returns another
-    shape, or an inner integral fails, the outer level's inner integrals are
-    rerun that way, in order: scalar-only integrands get their values from
-    the rerun, and the error raised is that of the lowest outer node that
-    fails.
+    shape, or an inner integral fails or would stop before it converges, the
+    outer level's inner integrals are rerun that way, in order: scalar-only
+    integrands get their values from the rerun, a non-converged inner
+    integral its estimate, and the error raised is that of the lowest outer
+    node that fails.
 
     Breakpoints are per-axis constants, so a C0 crease whose t-location moves
     with s (such as |t - s| along the diagonal) cannot be pre-split; on such
@@ -424,8 +410,7 @@ def integrate_2d(
 
     value, error, depth, converged = _refine(outer_level, s_edges, 1, 0.9 * tol)
     _, inner_err, inner_depth, inner_conv = (np.concatenate(a) for a in zip(*levels))
-    # an inner estimate that is NaN never becomes the maximum
-    error = float(error[0]) + float(np.fmax.reduce(inner_err, initial=0.0))
+    error = float(error[0]) + float(inner_err.max())
     return QuadratureResult(
         value=float(value[0]),
         error_estimate=error,

@@ -122,6 +122,16 @@ class TestLookup:
         with pytest.raises(InvalidParameter):
             lookup_function(name, params)
 
+    @pytest.mark.parametrize(
+        "text,shown", [("pow:nan", "nan"), ("pow:inf", "inf"), ("pow:-inf", "-inf"),
+                       ("pow:1e400", "inf")],
+    )
+    def test_non_finite_exponent_is_not_an_integer(self, text, shown):
+        # int() of these raised ValueError or OverflowError, not InvalidParameter
+        with pytest.raises(InvalidParameter) as excinfo:
+            parse_function_id(text)
+        assert str(excinfo.value) == f"pow requires an integer exponent, got {shown}"
+
     def test_labels(self):
         assert lookup_function("exp").label == "exp"
         assert lookup_function("pow", [3]).label == "pow:3"

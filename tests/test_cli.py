@@ -135,6 +135,14 @@ class TestVerify:
         assert code == 2
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("fn,shown", [("pow:nan", "nan"), ("pow:inf", "inf"),
+                                          ("pow:1e400", "inf")])
+    def test_non_finite_pow_exponent_is_a_config_error(self, capsys, fn, shown):
+        code = cli.main(["verify", "--fn", fn, "--interval", "0", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: pow requires an integer exponent, got {shown}\n")
+
     @pytest.mark.parametrize("a,b", [("-1", "-1"), ("0", "0"), ("0", "1")])
     def test_interval_outside_domain_is_a_domain_error(self, capsys, a, b):
         code = cli.main(["verify", "--fn", "ln", "--interval", a, b])

@@ -317,15 +317,25 @@ def _kernel_integrand(p):
     return lambda t, s: abs(kernel_m(t) - kernel_m(s)) ** p
 
 
-def _graded_kernel(p):
-    """The kernel integrand with its y edge graded, as kernel_p_numeric composes it."""
-    integrand, edge = _moment_integrand(p), graded_map((0.0, 1.0), (0.0,))
-    return lambda x, z: (lambda y, dy: integrand(x, y) * dy)(*edge(z))
-
-
 def _lemma2(fn, a, b, graded_t=()):
     phi = graded_map((0.0, 0.5, *graded_t, 1.0), graded_t) if graded_t else None
     return _lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b, phi)
+
+
+def _count_reruns(monkeypatch):
+    """A list that gets one entry per integrate_1d call made by integrate_2d.
+
+    integrate_2d calls integrate_1d only to rerun an outer level one node at
+    a time; the reference above keeps the unpatched function.
+    """
+    reruns = []
+
+    def counting(*args, **kwargs):
+        reruns.append(args)
+        return integrate_1d(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_1d", counting)
+    return reruns
 
 
 _SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints_t": (0.5,), "breakpoints_s": (0.5,)}
@@ -354,8 +364,10 @@ class TestBatchedInnerIntegrals:
             pytest.param(lambda t, s: 1.0, {"tol": 1e-10}, id="constant"),
             pytest.param(lambda t, s: abs(t - s), {"tol": 1e-7}, id="abs-diff"),
             pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
+            # graded at its y edge, as for every non-integer p below 4
             pytest.param(_moment_integrand(1.1), {"tol": 1e-10}, id="mapped-kernel-p1.1"),
-            pytest.param(_graded_kernel(1.1), {"tol": 1e-10}, id="graded-kernel-p1.1"),
+            pytest.param(_moment_integrand(2.0), {"tol": 1e-10}, id="mapped-kernel-p2"),
+            pytest.param(_moment_integrand(4.5), {"tol": 1e-10}, id="mapped-kernel-p4.5"),
             pytest.param(lambda t, s: np.sqrt(t) + math.sin(s), {"tol": 1e-10},
                          id="array-t-float-s"),
         ],
@@ -378,13 +390,27 @@ class TestBatchedInnerIntegrals:
             _sequential_integrate_2d(lambda t, s: t * s, **kwargs)
         assert str(batched.value) == str(sequential.value)
 
-    def test_matches_when_groups_split_at_the_panel_cap(self, monkeypatch):
-        # a cap of 64 panels chunks the outer nodes and splits groups that grow
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
-        g = _kernel_integrand(1.5)
-        assert _bits(integrate_2d(g, **_SPLIT_AT_HALF)) == _bits(
-            _sequential_integrate_2d(g, **_SPLIT_AT_HALF)
-        )
+    @pytest.mark.parametrize(
+        "cap,value,g,kwargs,converged",
+        [
+            # a batch of 30 inner integrals outgrows 64 panels after its first level
+            pytest.param("_MAX_PANELS", 64, _kernel_integrand(1.5), _SPLIT_AT_HALF, True,
+                         id="panels-64"),
+            # at 4 levels most inner integrals of |t - s| are not converged
+            pytest.param("MAX_DEPTH", 4, lambda t, s: abs(t - s), {"tol": 1e-12}, False,
+                         id="depth-4"),
+        ],
+    )
+    def test_matches_when_a_batch_reaches_a_cap(self, monkeypatch, cap, value, g, kwargs,
+                                                converged):
+        # such a batch raises, and its outer level reruns one node at a time
+        monkeypatch.setattr(quadrature, cap, value)
+        reruns = _count_reruns(monkeypatch)
+        batched = integrate_2d(g, **kwargs)
+        assert len(reruns) > 0
+        reference = _sequential_integrate_2d(g, **kwargs)
+        assert reference.converged is converged
+        assert _bits(batched) == _bits(reference)
 
     def test_nonfinite_reports_the_lowest_failing_outer_node(self):
         # outer node 2 hits NaN at t = 1/16, reached only in round 3 of its
@@ -474,12 +500,6 @@ _SHIPPED_L2 = [
 )
 def test_shipped_integrands_never_take_the_one_node_rerun(monkeypatch, certify):
     # the rerun keeps every bit, so only a count shows the batching was lost
-    reruns = []
-
-    def counting(*args, **kwargs):
-        reruns.append(args)
-        return integrate_1d(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "integrate_1d", counting)
+    reruns = _count_reruns(monkeypatch)
     certify()
     assert len(reruns) == 0
