@@ -388,27 +388,16 @@ def verify_case(
 def _lemma2_integrand(fd: FunctionDescriptor, x_of, phi=None):
     """(f'(x(t)) - f'(x(s))) (m(s) - m(t)), the Lemma 2 integrand for integrate_2d.
 
-    integrate_2d passes s as a column with one outer node per row.  f'(x(s))
-    is taken one Python float per distinct node, as a lone node would get it,
-    since fd.deriv can round differently on arrays, and once per node: every
-    inner level of an outer node reads the same value.  With phi, a
-    quadrature.graded_map, both axes are mapped by it and the integrand takes
-    both Jacobians.
+    t and s are arrays of one shape, and fd.deriv takes each of them whole.
+    With phi, a quadrature.graded_map, both axes are mapped by it and the
+    integrand takes both Jacobians.
     """
-    deriv_at: dict[float, float] = {}
 
     def integrand(t, s):
         if phi is not None:
-            (t, dt), (s, ds_du) = phi(t), phi(s)
-        nodes, row_node = np.unique(s, return_inverse=True)
-        nodes = nodes.tolist()
-        for v in nodes:
-            if v not in deriv_at:
-                deriv_at[v] = fd.deriv(x_of(v))
-        ds = np.array([deriv_at[v] for v in nodes])
-        ds = ds[row_node].reshape(np.shape(s))
-        value = (fd.deriv(x_of(t)) - ds) * (kernel_m(s) - kernel_m(t))
-        return value if phi is None else value * (dt * ds_du)
+            (t, dt), (s, ds) = phi(t), phi(s)
+        value = (fd.deriv(x_of(t)) - fd.deriv(x_of(s))) * (kernel_m(s) - kernel_m(t))
+        return value if phi is None else value * (dt * ds)
 
     return integrand
 

@@ -134,10 +134,15 @@ class FunctionDescriptor:
 
     @property
     def label(self) -> str:
-        """Identifier in catalog grammar form, e.g. ``pow:3`` or ``exp``."""
+        """Identifier in catalog grammar form, e.g. ``pow:3`` or ``exp``.
+
+        Each parameter prints as ``{p:g}`` where that parses back to p, and
+        otherwise as its shortest round-trip repr, so parse_function_id of a
+        label rebuilds the same parameters.
+        """
         if not self.parameters:
             return self.id
-        params = ",".join(f"{p:g}" for p in self.parameters)
+        params = ",".join(f"{p:g}" if float(f"{p:g}") == p else repr(p) for p in self.parameters)
         return f"{self.id}:{params}"
 
 

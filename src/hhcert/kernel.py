@@ -17,14 +17,15 @@ with J1 = J4 = 1 / (2^(p+1) (p+1)(p+2)) and J2 = J3 the complement to the
 total.  At p = 2 the pieces are (1/96, 7/96, 7/96, 1/96) and the total 1/6.
 
 kernel_p_numeric checks the closed form by 2D quadrature of the kernel
-itself.  The crease of |m(t) - m(s)|^p along t = s moves with the outer
-node, which per-axis breakpoints cannot split, and there the embedded error
-estimate of a generic integrand under-reports (integrate_2d's docstring).
-A change of variables instead puts every crease on a fixed panel edge: the
-Duffy map (Duffy, SIAM J. Numer. Anal. 19, 1982) of each quarter about the
-corner where |m(t) - m(s)| vanishes, graded toward the diagonal edge in the
-manner of Sidi's transformations (ISNM 112, 1993).  No panel then holds a
-crease, so the embedded estimate covers the true error.  The mapped pieces
+itself.  The crease of |m(t) - m(s)|^p along t = s is a diagonal, which
+integrate_2d's axis-aligned boxes cannot have as an edge, and there the
+embedded error estimate of a generic integrand under-reports (integrate_2d's
+docstring).  A change of variables instead puts every crease on a fixed
+edge of the unit square: the Duffy map (Duffy, SIAM J. Numer. Anal. 19,
+1982) of each quarter about the corner where |m(t) - m(s)| vanishes, graded
+toward the diagonal edge in the manner of Sidi's transformations (ISNM 112,
+1993).  No box then holds a crease, so the embedded estimate covers the
+true error.  The mapped pieces
 carry a factor r^(p+1), which is not smooth at the edge y = 0 for a
 non-integer p; the integrand grades that edge as well (y = z^2) for the p
 where that saves refinement levels.
@@ -95,7 +96,7 @@ def _moment_integrand(p: float):
     """The integrand over (x, y) in the unit square whose integral is the p-moment.
 
     It sums the four quarter pieces at r = y/2, each mapped so that the
-    crease of |m(t) - m(s)|^p lies on a panel edge, not inside a panel:
+    crease of |m(t) - m(s)|^p lies on a box edge, not inside a box:
 
     - J1 and J4 are folded onto their triangle t <= s (|m(t) - m(s)| is
       symmetric bit for bit, as |-d| = |d|) and Duffy-mapped about the corners
@@ -116,10 +117,10 @@ def _moment_integrand(p: float):
     """
     # An integer p leaves r^(p+1) a polynomial, which grading only raises in
     # degree.  Below p = 4 grading y saves levels (on a 2-core Xeon, p = 1.1:
-    # 6.2 -> 3.4 ms, p = 3.7: 0.60 -> 0.28 ms); from there on the plain edge
-    # already converges at depth 0, and past p = 5 the graded 2 z^(2p+3)
-    # outgrows the degree 13 that the 7-point Gauss rule integrates exactly
-    # and costs levels (p = 7.5: 0.61 -> 1.80 ms, p = 100.5: 7.1 -> 9.4 ms).
+    # 1.9 -> 1.1 ms, p = 3.7: 0.59 -> 0.26 ms); from there on the plain edge
+    # is as fast (p = 4.5: 0.23 -> 0.22 ms), and past p = 5 the graded
+    # 2 z^(2p+3) outgrows the degree 13 that the 7-point Gauss rule integrates
+    # exactly and costs levels (p = 7.5: 0.53 -> 0.96 ms, p = 100.5: 1.8 -> 2.4 ms).
     graded = p != math.floor(p) and p < 4.0
 
     def integrand(x, z):
@@ -146,7 +147,7 @@ def kernel_p_numeric(p: float, tol: float = 1e-10) -> QuadratureResult:
     """The kernel's p-th difference moment by one integrate_2d call, to absolute tol.
 
     The integrand is the quarter pieces mapped so that no crease lies inside
-    a panel (see _moment_integrand), so the embedded error estimate covers
+    a box (see _moment_integrand), so the embedded error estimate covers
     the true error, and every evaluation goes through kernel_m.
     """
     return integrate_2d(_moment_integrand(_validate_p(p)), tol)

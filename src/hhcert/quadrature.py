@@ -9,14 +9,10 @@ a single panel.
 
 Panels are refined level by level and all node evaluations for one level are
 batched into a single call, so integrands vectorized over numpy arrays are
-cheap.  Scalar-only integrands work too, via an elementwise fallback.  One
-refinement loop serves both entry points: it runs K independent integrals over
-the same breakpoints in lockstep, one integrand call per level for all of
-them, while each integral keeps the arithmetic it would have on its own.
-The batch is only an evaluation order: it finishes only when every integral
-in it converges, and integrate_2d reruns an outer level's inner integrals one
-at a time whenever its batch fails or would stop early, so an error or a
-non-converged result comes from the same run that serves as the reference.
+cheap.  Scalar-only integrands work too, via an elementwise fallback.
+integrate_2d applies the tensor product of the same pair to boxes of the
+unit square and refines them level by level in the same way, halving a box
+along the axis whose rule difference dominates, or in four.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ from ._ufunc import eval_elementwise
 from .catalog import Interval
 from .errors import NonFiniteEvaluation, range_error
 
-MAX_DEPTH = 60          # bisection levels per axis before giving up
-_MAX_PANELS = 65536     # safety valve against worklist blowup
+MAX_DEPTH = 60          # refinement levels before giving up
+_MAX_PANELS = 65536     # panels of a 1D level; a 2D level gets their 15x as many nodes
 _EPS = np.finfo(float).eps
 
 # 15-point Kronrod nodes on [-1, 1] and weights; the odd-index nodes form the
@@ -90,47 +86,6 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def _block_products(y: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod and Gauss sums of every row, each integral's block on its own.
-
-    A BLAS matrix-vector product can round a row differently depending on
-    the block's height and the row's position in it, so each integral's
-    rows go through a product of their own height, as they would alone.
-    Integrals with equally many rows share one stacked product, which
-    repeats the single-block result row for row.
-    """
-    if counts.size == 1:
-        return y @ _WK, y[:, 1::2] @ _WG
-    row_height = np.repeat(counts, counts)
-    sums_k, sums_g = np.empty(y.shape[0]), np.empty(y.shape[0])
-    for h in np.unique(counts).tolist():
-        rows = row_height == h
-        blocks = y[rows].reshape(-1, h, _XK.size)
-        sums_k[rows] = (blocks @ _WK).ravel()
-        sums_g[rows] = (blocks[:, :, 1::2] @ _WG).ravel()
-    return sums_k, sums_g
-
-
-def _segment_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """float(np.sum(segment)) for consecutive segments of x of the given lengths.
-
-    Segments of at most two floats have one possible sum, so they are
-    added in one vector step; longer ones go through np.sum, whose pairwise
-    order is numpy's own.  Only the sign of a zero sum may differ from
-    np.sum's, which no running total (never -0.0 itself) can tell apart.
-    """
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    out = np.zeros(lengths.size)
-    some = lengths > 0
-    out[some] = x[starts[some]]
-    two = lengths == 2
-    out[two] += x[starts[two] + 1]
-    for j in np.flatnonzero(lengths > 2).tolist():
-        out[j] = x[starts[j]:ends[j]].sum()
-    return out
-
-
 def _halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Panel centres and half-widths, under the caller's np.errstate(over="ignore").
 
@@ -149,122 +104,68 @@ def _halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return centers, halfw
 
 
-class _Unfinished(Exception):
-    """A batch of integrals would stop before each one converged."""
+def _accepted(err: np.ndarray, est: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Which panels or boxes stop refining: their error is within budget or noise.
+
+    Proportional budgets keep the sum of accepted errors below tol; the
+    rounding floor stops pointless splitting once the pair difference is at
+    machine-noise scale for the panel.
+    """
+    return (err <= budget) | (err <= 50.0 * _EPS * np.abs(est))
 
 
-def _refine(evaluate, edges: list[float], n: int, tol: float):
-    """Run n independent adaptive integrals over [edges[0], edges[-1]].
+def _refine(evaluate, edges: list[float], tol: float):
+    """Run one adaptive integral over [edges[0], edges[-1]].
 
-    Every integral starts from the panels between consecutive edges and is
-    refined as if it ran alone: its panels form one contiguous block of rows
-    in its own panel order, its Kronrod and Gauss sums come from a product
-    over that block alone, and its value and error add up the same partial
-    sums in the same order.  All integrals share one evaluate call per level.
+    It starts from the panels between consecutive edges, and each level
+    calls ``evaluate(nodes)`` once on the (panels, 15) nodes of every open
+    panel.  A non-finite value raises NonFiniteEvaluation and a panel
+    estimate beyond the float range OverflowError(ERANGE), at the first
+    level that meets one; so does a value or error estimate beyond it at the
+    end.  Where the next level would pass MAX_DEPTH or hold more than
+    _MAX_PANELS panels, the rejected panels are added as they are and the
+    integral is reported as not converged.
 
-    ``evaluate(nodes, owners, counts)`` gets the (rows, 15) nodes of the
-    integrals ``owners`` (ascending, ``counts`` rows each) and returns the
-    integrand values there.  A non-finite value raises NonFiniteEvaluation
-    and a panel estimate beyond the float range OverflowError(ERANGE), at
-    the first level that meets one, whichever integral it belongs to; a
-    value or error estimate beyond the float range raises the latter once
-    all are done.  With n = 1, an integral whose next level would pass
-    MAX_DEPTH or hold more than _MAX_PANELS panels stops, adds its rejected
-    panels as they are and is reported as not converged.  With more, the
-    batch finishes only when every integral converges: where one would stop
-    early, or a level would hold more than _MAX_PANELS panels in all, it
-    raises _Unfinished.  A caller of a batch that needs the error of the
-    lowest failing integral, or the results of one that stops early, reruns
-    them one at a time, as integrate_2d does.
-
-    Returns arrays of the n values, error estimates, depths and converged
-    flags.
+    Returns the value, error estimate, depth and converged flag.
     """
     # a panel estimate or running sum past the float range is caught below
     # as a value, not as a numpy warning; evaluate silences the integrand's own
     with np.errstate(over="ignore", invalid="ignore"):
         lows, highs = np.array(edges[:-1]), np.array(edges[1:])
         half_width = 0.5 * edges[-1] - 0.5 * edges[0]  # finite however wide
-        sums = np.zeros((2, n))  # one finiteness check at the end covers both rows
-        value, error = sums
-        depth_of, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-        owners, counts, depth = np.arange(n), np.full(n, lows.size), 0
-        if n > 1:
-            lows, highs = np.tile(lows, n), np.tile(highs, n)
+        value = error = 0.0
+        depth = 0
         while True:
-            if n > 1 and lows.size > _MAX_PANELS:
-                raise _Unfinished
             centers, halfw = _halves(lows, highs)
             nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
-            y = evaluate(nodes, owners, counts)
+            y = evaluate(nodes)
             finite = np.isfinite(y)
             if not finite.all():
                 x = float(nodes.ravel()[np.argmin(finite)])
                 raise NonFiniteEvaluation(f"integrand not finite at x={x!r}")
-            sums_k, sums_g = _block_products(y, counts)
-            ik = halfw * sums_k
-            ig = halfw * sums_g
+            ik = halfw * (y @ _WK)
+            ig = halfw * (y[:, 1::2] @ _WG)
             err = np.abs(ik - ig)
             if not np.isfinite(err).all():
                 raise range_error()
-
-            # Proportional budgets keep the sum of accepted errors below
-            # tol; the rounding floor stops pointless splitting once the
-            # pair difference is at machine-noise scale for the panel.
-            budget = tol * halfw / half_width
-            floor = 50.0 * _EPS * np.abs(ik)
-            accept = (err <= budget) | (err <= floor)
+            accept = _accepted(err, ik, tol * halfw / half_width)
             rejected = ~accept
-
-            if owners.size == 1:
-                # one integral (every integrate_1d call): scalar bookkeeping,
-                # as the per-owner array version below made such calls 70 % slower
-                k = owners[0]
-                value[k] += ik[accept].sum()
-                error[k] += err[accept].sum()
-                n_rej = np.count_nonzero(rejected)
-                if n_rej and depth < MAX_DEPTH and 2 * n_rej <= _MAX_PANELS:
-                    lo_r, hi_r, mid_r = lows[rejected], highs[rejected], centers[rejected]
-                    lows = np.concatenate([lo_r, mid_r])
-                    highs = np.concatenate([mid_r, hi_r])
-                    counts = np.array([lows.size])
-                    depth += 1
-                    continue
-                if n_rej:
-                    if n > 1:
-                        raise _Unfinished
-                    value[k] += ik[rejected].sum()
-                    error[k] += err[rejected].sum()
-                depth_of[k], converged[k] = depth, n_rej == 0 and error[k] <= tol
-                break
-
-            n_rej = np.diff(np.cumsum(rejected)[np.cumsum(counts) - 1], prepend=0)
-            value[owners] += _segment_sums(ik[accept], counts - n_rej)
-            error[owners] += _segment_sums(err[accept], counts - n_rej)
-            done = n_rej == 0
-            finished = owners[done]
-            depth_of[finished], converged[finished] = depth, error[finished] <= tol
-            if finished.size == owners.size:
-                break
-            if depth >= MAX_DEPTH:
-                raise _Unfinished
-
-            # each continuing integral's next block is the lower halves
-            # of its rejected panels, then their upper halves, as alone
-            idx = np.flatnonzero(rejected)
-            n_keep = n_rej[~done]
-            lower = np.repeat(np.cumsum(n_keep) - n_keep, n_keep) + np.arange(idx.size)
-            upper = lower + np.repeat(n_keep, n_keep)
-            lo_r, hi_r, mid_r = lows[idx], highs[idx], centers[idx]
-            lows, highs = np.empty(2 * idx.size), np.empty(2 * idx.size)
-            lows[lower], lows[upper] = lo_r, mid_r
-            highs[lower], highs[upper] = mid_r, hi_r
-            owners, counts = owners[~done], 2 * n_keep
-            depth += 1
-
-        if not np.isfinite(sums).all():
+            value += ik[accept].sum()
+            error += err[accept].sum()
+            n_rej = np.count_nonzero(rejected)
+            if n_rej and depth < MAX_DEPTH and 2 * n_rej <= _MAX_PANELS:
+                lo_r, hi_r, mid_r = lows[rejected], highs[rejected], centers[rejected]
+                lows = np.concatenate([lo_r, mid_r])
+                highs = np.concatenate([mid_r, hi_r])
+                depth += 1
+                continue
+            if n_rej:
+                value += ik[rejected].sum()
+                error += err[rejected].sum()
+            break
+        if not (np.isfinite(value) and np.isfinite(error)):
             raise range_error()
-        return value, error, depth_of, converged
+        return float(value), float(error), depth, bool(n_rej == 0 and error <= tol)
 
 
 def integrate_1d(
@@ -286,10 +187,7 @@ def integrate_1d(
     if iv.is_degenerate:
         return QuadratureResult(0.0, 0.0, 0, True)
     edges = [iv.a, *_clean_breakpoints(breakpoints, iv.a, iv.b), iv.b]
-    value, error, depth, converged = _refine(
-        lambda nodes, owners, counts: eval_elementwise(g, nodes), edges, 1, tol
-    )
-    return QuadratureResult(float(value[0]), float(error[0]), int(depth[0]), bool(converged[0]))
+    return QuadratureResult(*_refine(lambda nodes: eval_elementwise(g, nodes), edges, tol))
 
 
 def graded_map(edges: Sequence[float], toward: Sequence[float]):
@@ -342,33 +240,49 @@ def graded_map(edges: Sequence[float], toward: Sequence[float]):
     return phi
 
 
+def _bisect(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray, *rest: np.ndarray):
+    """Halve [lo, hi] where cut and keep it whole elsewhere; each of rest follows its box.
+
+    The halves of a cut box are the kept row's lower half and an appended
+    upper half.
+    """
+    mid = 0.5 * (lo + hi)
+    return (np.concatenate([lo, mid[cut]]), np.concatenate([np.where(cut, mid, hi), hi[cut]]),
+            *(np.concatenate([r, r[cut]]) for r in rest))
+
+
 def integrate_2d(
     g: Callable[[float, float], float],
     tol: float = 1e-10,
     breakpoints_t: Sequence[float] = (),
     breakpoints_s: Sequence[float] = (),
 ) -> QuadratureResult:
-    """Integrate g(t, s) over the unit square as an iterated integral.
+    """Integrate g(t, s) over the unit square to absolute tolerance tol.
 
-    The inner integral runs over t at tolerance tol/10 for each outer node s;
-    the outer integral over s gets the remaining budget, so a converged result
-    keeps the combined error estimate below tol.  Breakpoints pre-split the
-    respective axis.
+    An adaptive cubature over boxes (Genz and Malik, J. Comput. Appl. Math.
+    6, 1980; Berntsen, Espelid and Genz, ACM TOMS 17, 1991).  The first boxes
+    are the products of the t panels and the s panels between each axis's
+    breakpoints.  Each level calls g(t, s) once, with t and s float arrays
+    of one shape that hold the 15 x 15 tensor Kronrod nodes of every open
+    box; an integrand that raises TypeError or ValueError on arrays, or
+    returns another shape, is evaluated one node at a time.  A box's value
+    is the tensor Kronrod rule K x K and its error estimate |K x K - G x G|.
 
-    The inner integrals of all outer nodes of one outer level run together:
-    each refinement level calls g once as g(t, s) with a (rows, 15) array t
-    and a (rows, 1) column s holding each row's outer node, and every row of
-    the result must equal g(t_row, float(s_row)) bit for bit; elementwise
-    numpy arithmetic does, but a function that rounds differently on arrays
-    than on Python floats (as some catalog derivatives do) must evaluate its
-    s-dependent part one float at a time.  The result is bit for bit that of
-    integrating one outer node at a time, as integrate_1d(lambda t: g(t, s))
-    with a Python float s.  If the batched call raises or returns another
-    shape, or an inner integral fails or would stop before it converges, the
-    outer level's inner integrals are rerun that way, in order: scalar-only
-    integrands get their values from the rerun, a non-converged inner
-    integral its estimate, and the error raised is that of the lowest outer
-    node that fails.
+    A box is accepted as a panel of integrate_1d is: its error is within tol
+    times its area, or within 50 eps of its value.  A level also ends the
+    integral, converged, once the accepted errors and the errors of the open
+    boxes add up to at most tol (QUADPACK's global test).  Otherwise each
+    open box is split: along t where its t difference |K x K - G x K|
+    exceeds 4 times its s difference |K x K - K x G|, along s in the
+    converse case, and in four where neither axis dominates.  Where the next
+    level would pass MAX_DEPTH levels or evaluate more than _MAX_PANELS * 15
+    nodes, the open boxes are added as they are and the result is not
+    converged.  ``subdivisions`` counts the levels.
+
+    It raises as integrate_1d does: NonFiniteEvaluation where g is NaN or
+    infinite at a node, OverflowError(ERANGE) where a box estimate, the
+    integral or its error estimate leaves the float range, ValueError for a
+    bad tol or a breakpoint outside [0, 1]; any other error of g propagates.
 
     Breakpoints are per-axis constants, so a C0 crease whose t-location moves
     with s (such as |t - s| along the diagonal) cannot be pre-split; on such
@@ -378,42 +292,60 @@ def integrate_2d(
     matters, change variables so that the crease lies on a fixed panel edge,
     as kernel.kernel_p_numeric does for the kernel's |m(t) - m(s)|^p.
     """
-    # checks in the order the outer, then the first inner, integral meets them
     check_tol(tol)
-    s_edges = [0.0, *_clean_breakpoints(breakpoints_s, 0.0, 1.0), 1.0]
-    inner_tol = tol / 10.0
-    check_tol(inner_tol)
-    t_edges = [0.0, *_clean_breakpoints(breakpoints_t, 0.0, 1.0), 1.0]
-    levels = []
-
-    def outer_level(s_nodes, owners, counts):
-        s_all = s_nodes.ravel()
-
-        def evaluate(t, owners, counts):
-            with np.errstate(all="ignore"):
-                y = np.asarray(g(t, np.repeat(s_all[owners], counts)[:, None]), dtype=float)
-            if y.shape != t.shape:
-                raise ValueError(f"integrand gave shape {y.shape} for nodes of shape {t.shape}")
-            return y
-
-        try:
-            level = _refine(evaluate, t_edges, s_all.size, inner_tol)
-        except Exception:
-            # one outer node at a time: the values of an integrand the batched
-            # call does not suit, or the error of the lowest failing node
-            runs = [integrate_1d(lambda t: g(t, s), Interval(0.0, 1.0), inner_tol, breakpoints_t)
-                    for s in s_all.tolist()]
-            level = [np.array(field) for field in zip(*(
-                (r.value, r.error_estimate, r.subdivisions, r.converged) for r in runs))]
-        levels.append(level)
-        return level[0].reshape(s_nodes.shape)
-
-    value, error, depth, converged = _refine(outer_level, s_edges, 1, 0.9 * tol)
-    _, inner_err, inner_depth, inner_conv = (np.concatenate(a) for a in zip(*levels))
-    error = float(error[0]) + float(inner_err.max())
-    return QuadratureResult(
-        value=float(value[0]),
-        error_estimate=error,
-        subdivisions=max(int(depth[0]), int(inner_depth.max())),
-        converged=bool(converged[0]) and bool(inner_conv.all()) and error <= tol,
-    )
+    s_edges = np.array([0.0, *_clean_breakpoints(breakpoints_s, 0.0, 1.0), 1.0])
+    t_edges = np.array([0.0, *_clean_breakpoints(breakpoints_t, 0.0, 1.0), 1.0])
+    # every t panel against every s panel
+    n_t, n_s = t_edges.size - 1, s_edges.size - 1
+    t_lo, t_hi = np.tile(t_edges[:-1], n_s), np.tile(t_edges[1:], n_s)
+    s_lo, s_hi = np.repeat(s_edges[:-1], n_t), np.repeat(s_edges[1:], n_t)
+    n = _XK.size
+    value = error = 0.0
+    depth = 0
+    # as in _refine, estimates past the float range are caught as values
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            th, sh = 0.5 * (t_hi - t_lo), 0.5 * (s_hi - s_lo)
+            # t varies along axis 1 and s along axis 2 of the (boxes, 15, 15) nodes
+            t = np.repeat((0.5 * (t_lo + t_hi)[:, None] + th[:, None] * _XK)[:, :, None], n, 2)
+            s = np.repeat((0.5 * (s_lo + s_hi)[:, None] + sh[:, None] * _XK)[:, None, :], n, 1)
+            y = eval_elementwise(g, t, s)
+            finite = np.isfinite(y)
+            if not finite.all():
+                i = np.argmin(finite)
+                raise NonFiniteEvaluation(
+                    f"integrand not finite at (t, s)=({float(t.flat[i])!r}, {float(s.flat[i])!r})")
+            # Kronrod and Gauss sums over s, then each of them over t, times
+            # the rule's Jacobian th * sh, a quarter of the box's area
+            jac = th * sh
+            y_k, y_g = y @ _WK, y[:, :, 1::2] @ _WG
+            kk = jac * (y_k @ _WK)
+            err = np.abs(kk - jac * (y_g[:, 1::2] @ _WG))
+            if not np.isfinite(err).all():
+                raise range_error()
+            accept = _accepted(err, kk, tol * (4.0 * jac))
+            value += kk[accept].sum()
+            error += err[accept].sum()
+            rejected = ~accept
+            open_err = err[rejected].sum()
+            converged = error + open_err <= tol
+            if not converged and rejected.any() and depth < MAX_DEPTH:
+                # the t and s differences: Gauss on one axis, Kronrod on the other
+                kk_r, jac_r = kk[rejected], jac[rejected]
+                d_t = np.abs(kk_r - jac_r * (y_k[rejected, 1::2] @ _WG))
+                d_s = np.abs(kk_r - jac_r * (y_g[rejected] @ _WK))
+                cut_t, cut_s = ~(d_s > 4.0 * d_t), ~(d_t > 4.0 * d_s)
+                # the next level's boxes have 15 * 15 nodes each, of _MAX_PANELS * 15
+                if np.sum((1 + cut_t) * (1 + cut_s)) * n <= _MAX_PANELS:
+                    t_lo, t_hi, s_lo, s_hi, cut_s = _bisect(
+                        t_lo[rejected], t_hi[rejected], cut_t, s_lo[rejected], s_hi[rejected],
+                        cut_s)
+                    s_lo, s_hi, t_lo, t_hi = _bisect(s_lo, s_hi, cut_s, t_lo, t_hi)
+                    depth += 1
+                    continue
+            value += kk[rejected].sum()
+            error += open_err
+            break
+        if not (np.isfinite(value) and np.isfinite(error)):
+            raise range_error()
+    return QuadratureResult(float(value), float(error), depth, bool(converged))

@@ -528,21 +528,6 @@ class TestIdentities:
         with pytest.raises(ValueError):
             verify_identity("L3", parse_function_id("exp"), _UNIT)
 
-    @pytest.mark.parametrize("label,a,b", [("recip", 0.3, 3.7), ("abs_pow:2.5", -1.0, 2.0)])
-    def test_lemma2_takes_each_outer_derivative_once(self, label, a, b):
-        # f'(x(s)) of an outer node is read at every inner level of its integral
-        fd, scalar_args = parse_function_id(label), []
-
-        def deriv(x):
-            if isinstance(x, float):
-                scalar_args.append(x)
-            return fd.deriv(x)
-
-        counted = dataclasses.replace(fd, deriv=deriv)
-        assert verify_identity("L2", counted, Interval(a, b)) == verify_identity(
-            "L2", fd, Interval(a, b))
-        assert len(scalar_args) == len(set(scalar_args)) > 0
-
     @pytest.mark.parametrize("label,a,b", [("exp", 0.0, 1.0), ("ln", -1.0, 1.0)])
     def test_unknown_lemma_rejected_before_the_domain_and_any_integral(
         self, monkeypatch, label, a, b

@@ -143,6 +143,24 @@ class TestParseGrammar:
     def test_round_trip(self, text):
         assert parse_function_id(text).label == text
 
+    @pytest.mark.parametrize(
+        "text,label",
+        [("abs_pow:2.1234567", "abs_pow:2.1234567"), ("abs_pow:2.50", "abs_pow:2.5"),
+         ("pow:9007199254740993", "pow:9007199254740992.0"), ("pow:1e20", "pow:1e+20")],
+    )
+    def test_label_keeps_every_digit(self, text, label):
+        # {p:g} printed these as abs_pow:2.12346 and pow:9.0072e+15
+        assert parse_function_id(text).label == label
+
+    @given(st.one_of(
+        st.floats(2.0, 1e300).map(lambda r: f"abs_pow:{r!r}"),
+        st.integers(1, 2**70).map(lambda n: f"pow:{n}"),
+        st.integers(-(2**70), -1).map(lambda n: f"pow:{n}"),
+    ))
+    def test_label_parses_back_to_the_same_parameters(self, text):
+        fd = parse_function_id(text)
+        assert parse_function_id(fd.label).parameters == fd.parameters
+
     def test_malformed_params(self):
         with pytest.raises(InvalidParameter):
             parse_function_id("pow:x")

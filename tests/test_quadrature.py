@@ -1,18 +1,18 @@
-"""Adaptive Gauss-Kronrod integration, 1D and iterated 2D."""
+"""Adaptive Gauss-Kronrod integration, over panels in 1D and over boxes in 2D."""
 
+import errno
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhcert import quadrature
-from hhcert.bounds import _lemma2_integrand, verify_identity
+from hhcert import bounds, quadrature
+from hhcert.bounds import verify_identity
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import NonFiniteEvaluation
-from hhcert.kernel import _moment_integrand, kernel_m, kernel_p_numeric
+from hhcert.kernel import kernel_m, kernel_p_numeric
 from hhcert.quadrature import QuadratureResult, graded_map, integrate_1d, integrate_2d
 
 
@@ -261,10 +261,9 @@ class TestIterated2D:
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_abs_difference(self):
-        # int_0^1 int_0^1 |t - s| dt ds = 1/3; the crease at t = s moves with
-        # the outer node, which the fixed breakpoint grid cannot express, so
-        # the embedded estimate under-reports there (documented); the value
-        # still lands within ~1e-7
+        # int_0^1 int_0^1 |t - s| dt ds = 1/3; the crease at t = s is a
+        # diagonal, which no box edge can follow, so the embedded estimate
+        # under-reports there (documented); the value still lands within ~1e-7
         res = integrate_2d(lambda t, s: abs(t - s), tol=1e-9)
         assert res.converged
         assert res.value == pytest.approx(1.0 / 3.0, abs=5e-7)
@@ -280,210 +279,111 @@ class TestIterated2D:
             integrate_2d(lambda t, s: t + s, tol=-1.0)
 
 
-def _sequential_integrate_2d(g, tol=1e-10, breakpoints_t=(), breakpoints_s=()):
-    """integrate_2d one outer node at a time: a full integrate_1d per node, in order.
+def _recording(g, shapes):
+    """g, appending the shape of each array call's nodes to shapes."""
+    def recorded(t, s):
+        shapes.append(np.shape(t))
+        return g(t, s)
 
-    This is the iterated integral the batched inner integrals must repeat
-    bit for bit, kept as the reference.
-    """
-    inner_tol = tol / 10.0
-    state = {"max_err": 0.0, "max_sub": 0, "converged": True}
-
-    def outer_integrand(s):
-        if np.ndim(s) != 0:
-            raise TypeError("outer integrand is scalar-only")
-        s = float(s)
-        res = integrate_1d(lambda t: g(t, s), Interval(0.0, 1.0), inner_tol, breakpoints_t)
-        state["max_err"] = max(state["max_err"], res.error_estimate)
-        state["max_sub"] = max(state["max_sub"], res.subdivisions)
-        state["converged"] = state["converged"] and res.converged
-        return res.value
-
-    outer = integrate_1d(outer_integrand, Interval(0.0, 1.0), 0.9 * tol, breakpoints_s)
-    error = outer.error_estimate + state["max_err"]
-    return QuadratureResult(
-        value=outer.value,
-        error_estimate=error,
-        subdivisions=max(outer.subdivisions, state["max_sub"]),
-        converged=outer.converged and state["converged"] and error <= tol,
-    )
+    return recorded
 
 
-def _bits(res):
-    return (float.hex(res.value), float.hex(res.error_estimate), res.subdivisions, res.converged)
+def _lemma2_double_integral(monkeypatch, fn, a, b):
+    """verify_identity's Lemma 2 double integral of fn on [a, b], and the shape
+    of the nodes of each of its levels."""
+    results, shapes = [], []
+
+    def recorded(g, *args, **kwargs):
+        results.append(integrate_2d(_recording(g, shapes), *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bounds, "integrate_2d", recorded)
+    verify_identity("L2", parse_function_id(fn), Interval(a, b))
+    return results[0], shapes
 
 
-def _kernel_integrand(p):
-    return lambda t, s: abs(kernel_m(t) - kernel_m(s)) ** p
-
-
-def _lemma2(fn, a, b, graded_t=()):
-    phi = graded_map((0.0, 0.5, *graded_t, 1.0), graded_t) if graded_t else None
-    return _lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b, phi)
-
-
-def _count_reruns(monkeypatch):
-    """A list that gets one entry per integrate_1d call made by integrate_2d.
-
-    integrate_2d calls integrate_1d only to rerun an outer level one node at
-    a time; the reference above keeps the unpatched function.
-    """
-    reruns = []
-
-    def counting(*args, **kwargs):
-        reruns.append(args)
-        return integrate_1d(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "integrate_1d", counting)
-    return reruns
-
-
-_SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints_t": (0.5,), "breakpoints_s": (0.5,)}
-
-
-class TestBatchedInnerIntegrals:
-    """integrate_2d against the one-node-at-a-time reference, bit for bit."""
-
-    @pytest.mark.parametrize(
-        "g,kwargs",
-        [
-            pytest.param(_kernel_integrand(1.1), _SPLIT_AT_HALF, id="kernel-p1.1"),
-            pytest.param(_kernel_integrand(1.5), _SPLIT_AT_HALF, id="kernel-p1.5"),
-            pytest.param(_kernel_integrand(2.0), _SPLIT_AT_HALF, id="kernel-p2"),
-            pytest.param(_kernel_integrand(3.0), _SPLIT_AT_HALF, id="kernel-p3"),
-            pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7), _SPLIT_AT_HALF, id="L2-abs_pow"),
-            pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7, (0.7 / 2.7,)),
-                         {"tol": 1e-10, "breakpoints_t": (0.5, 0.7 / 2.7),
-                          "breakpoints_s": (0.5, 0.7 / 2.7)}, id="L2-abs_pow-graded"),
-            pytest.param(_lemma2("recip", 0.15, 0.9), _SPLIT_AT_HALF, id="L2-recip"),
-            pytest.param(_lemma2("pow:3", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-pow3"),
-            pytest.param(_lemma2("exp", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-exp"),
-            pytest.param(_lemma2("pow:-1", 0.5, 3.0), _SPLIT_AT_HALF, id="L2-pow-1"),
-            pytest.param(_lemma2("pow:-2", 1.0, 3.0), _SPLIT_AT_HALF, id="L2-pow-2"),
-            pytest.param(lambda t, s: t * s, {"tol": 1e-10}, id="t*s"),
-            pytest.param(lambda t, s: 1.0, {"tol": 1e-10}, id="constant"),
-            pytest.param(lambda t, s: abs(t - s), {"tol": 1e-7}, id="abs-diff"),
-            pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
-            # graded at its y edge, as for every non-integer p below 4
-            pytest.param(_moment_integrand(1.1), {"tol": 1e-10}, id="mapped-kernel-p1.1"),
-            pytest.param(_moment_integrand(2.0), {"tol": 1e-10}, id="mapped-kernel-p2"),
-            pytest.param(_moment_integrand(4.5), {"tol": 1e-10}, id="mapped-kernel-p4.5"),
-            pytest.param(lambda t, s: np.sqrt(t) + math.sin(s), {"tol": 1e-10},
-                         id="array-t-float-s"),
-        ],
-    )
-    def test_matches_one_node_at_a_time(self, g, kwargs):
-        assert _bits(integrate_2d(g, **kwargs)) == _bits(_sequential_integrate_2d(g, **kwargs))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"tol": 1e-323},  # tol/10 of the inner integrals rounds to 0
-            {"tol": 1e-10, "breakpoints_t": (2.0,), "breakpoints_s": (-1.0,)},
-            {"tol": 1e-10, "breakpoints_t": (2.0,)},
-        ],
-    )
-    def test_rejects_arguments_as_one_node_at_a_time(self, kwargs):
-        with pytest.raises(ValueError) as batched:
-            integrate_2d(lambda t, s: t * s, **kwargs)
-        with pytest.raises(ValueError) as sequential:
-            _sequential_integrate_2d(lambda t, s: t * s, **kwargs)
-        assert str(batched.value) == str(sequential.value)
-
-    @pytest.mark.parametrize(
-        "cap,value,g,kwargs,converged",
-        [
-            # a batch of 30 inner integrals outgrows 64 panels after its first level
-            pytest.param("_MAX_PANELS", 64, _kernel_integrand(1.5), _SPLIT_AT_HALF, True,
-                         id="panels-64"),
-            # at 4 levels most inner integrals of |t - s| are not converged
-            pytest.param("MAX_DEPTH", 4, lambda t, s: abs(t - s), {"tol": 1e-12}, False,
-                         id="depth-4"),
-        ],
-    )
-    def test_matches_when_a_batch_reaches_a_cap(self, monkeypatch, cap, value, g, kwargs,
-                                                converged):
-        # such a batch raises, and its outer level reruns one node at a time
-        monkeypatch.setattr(quadrature, cap, value)
-        reruns = _count_reruns(monkeypatch)
-        batched = integrate_2d(g, **kwargs)
-        assert len(reruns) > 0
-        reference = _sequential_integrate_2d(g, **kwargs)
-        assert reference.converged is converged
-        assert _bits(batched) == _bits(reference)
-
-    def test_nonfinite_reports_the_lowest_failing_outer_node(self):
-        # outer node 2 hits NaN at t = 1/16, reached only in round 3 of its
-        # inner integral; outer node 10 hits NaN at t = 1/2 in round 0
-        s_nodes = 0.5 + 0.5 * quadrature._XK
-
+class TestAdaptiveCubature:
+    def test_nonfinite_value_names_its_node(self):
         def g(t, s):
-            bad = ((s == s_nodes[2]) & (t == 0.0625)) | ((s == s_nodes[10]) & (t == 0.5))
-            return np.where(bad, np.nan, np.sqrt(t) + s)
+            return np.where((t == 0.5) & (s == 0.5), np.nan, np.sqrt(t) + s)
 
-        with pytest.raises(NonFiniteEvaluation) as batched:
+        with pytest.raises(NonFiniteEvaluation, match=r"\(t, s\)=\(0\.5, 0\.5\)"):
             integrate_2d(g, tol=1e-10)
-        with pytest.raises(NonFiniteEvaluation) as sequential:
-            _sequential_integrate_2d(g, tol=1e-10)
-        assert str(batched.value) == str(sequential.value)
-        assert "x=0.0625" in str(batched.value)
 
-    @pytest.mark.parametrize(
-        "overflow_at,nan_at,error",
-        [(2, 10, OverflowError), (10, 2, NonFiniteEvaluation)],
-    )
-    def test_range_error_keeps_the_order_of_outer_nodes(self, overflow_at, nan_at, error):
-        # one outer node's inner estimate overflows in round 0, another's
-        # integrand is NaN at t = 1/2 in round 0: the lower node's error wins
-        s_nodes = 0.5 + 0.5 * quadrature._XK
-
-        def g(t, s):
-            y = np.where(s == s_nodes[overflow_at], 1.7e308, np.sqrt(t) + s)
-            return np.where((s == s_nodes[nan_at]) & (t == 0.5), np.nan, y)
-
-        with pytest.raises(error) as batched:
-            integrate_2d(g, tol=1e-10)
-        with pytest.raises(error) as sequential:
-            _sequential_integrate_2d(g, tol=1e-10)
-        assert str(batched.value) == str(sequential.value)
+    def test_box_estimate_beyond_the_float_range_raises(self):
+        # every value is finite, a box's Kronrod sum of them is not
+        with pytest.raises(OverflowError) as err:
+            integrate_2d(lambda t, s: np.where(s > 0.5, 1.7e308, np.sqrt(t) + s), tol=1e-10)
+        assert err.value.args[0] == errno.ERANGE
 
     def test_integrand_exception_propagates_unchanged(self):
         class Boom(Exception):
             pass
 
         def g(t, s):
-            if np.any(np.asarray(s) > 0.6):
-                raise Boom(f"no value beyond s=0.6, asked for {float(np.max(s))!r}")
-            return np.sqrt(t) + s
+            raise Boom("no value here")
 
-        with pytest.raises(Boom) as batched:
+        with pytest.raises(Boom, match="no value here"):
             integrate_2d(g, tol=1e-10)
-        with pytest.raises(Boom) as sequential:
-            _sequential_integrate_2d(g, tol=1e-10)
-        assert str(batched.value) == str(sequential.value)
 
-    def test_peak_memory_near_sequential_on_a_rough_integrand(self, monkeypatch):
-        # every panel wider than the wiggles is rejected, so each inner
-        # integral refines until its next level would exceed _MAX_PANELS
-        # (lowered from 65536 to keep the test fast; the peaks scale with it)
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 4096)
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"tol": 0.0}, "tol must be positive and finite"),
+            ({"tol": math.inf}, "tol must be positive and finite"),
+            ({"breakpoints_t": (2.0,), "breakpoints_s": (-1.0,)}, r"breakpoint -1\.0 outside"),
+            ({"breakpoints_t": (math.nan,)}, "breakpoint nan outside"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            integrate_2d(lambda t, s: t * s, **kwargs)
 
-        def g(t, s):
-            return np.abs(np.sin(1e6 * t)) + 0.0 * s
+    def test_tolerance_below_the_rounding_floor_is_not_converged(self):
+        # a tol far below rounding is a valid request: the boxes stop at the
+        # rounding floor and the result says it missed tol
+        res = integrate_2d(lambda t, s: t * s, tol=1e-323)
+        assert not res.converged
+        # the 15-digit Kronrod weights bias every result by about 3e-15 relative
+        assert res.value == pytest.approx(0.25, abs=32 * 2.0**-52)
 
-        peaks = []
-        for integrate in (_sequential_integrate_2d, integrate_2d):
-            tracemalloc.start()
-            res = integrate(g, tol=1e-12)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-            assert not res.converged
-            assert res.subdivisions == 12
-        assert peaks[1] <= 2.0 * peaks[0]
+    def test_node_cap_stops_a_rough_integrand(self, monkeypatch):
+        # every box wider than the wiggles is rejected and split in four, so
+        # the levels grow until the next would pass _MAX_PANELS * 15 nodes
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 960)
+        shapes = []
+        g = _recording(lambda t, s: np.abs(np.sin(1e6 * t)) + np.abs(np.sin(1e6 * s)), shapes)
+        res = integrate_2d(g, tol=1e-12)
+        assert not res.converged
+        assert max(math.prod(shape) for shape in shapes) <= 960 * 15
+        assert shapes[-1] == (64, 15, 15)
+
+    def test_depth_cap_returns_the_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 4)
+        res = integrate_2d(lambda t, s: np.abs(t - s), tol=1e-12)
+        assert not res.converged
+        assert res.subdivisions == 4
+        assert res.value == pytest.approx(1.0 / 3.0, abs=1e-4)
+
+    def test_a_smooth_axis_is_not_split(self):
+        # sqrt(t) needs refinement toward t = 0, and the polynomial in s none:
+        # each level halves the one open box along t only, which leaves two
+        shapes = []
+        res = integrate_2d(_recording(lambda t, s: np.sqrt(t) * (1.0 + s * s), shapes), 1e-10)
+        assert res.converged
+        assert res.value == pytest.approx(8.0 / 9.0, abs=1e-10)
+        assert len(shapes) > 2 and [shape[0] for shape in shapes[1:]] == [2] * (len(shapes) - 1)
+
+    def test_abs_pow_lemma2_levels_stay_small(self, monkeypatch):
+        # splitting every open box in four made a 1,532-box level here
+        res, shapes = _lemma2_double_integral(
+            monkeypatch, "abs_pow:2.5", -1.5945141722860678, 1.5942221222674915)
+        assert res.converged
+        assert max(shape[0] for shape in shapes) <= 64
 
 
-# the L2 goldens, TestBatchedInnerIntegrals' graded abs_pow case, and one
-# interval for every other catalog entry
+# the L2 goldens, a graded abs_pow case, and one interval for every other
+# catalog entry
 _SHIPPED_L2 = [
     ("abs_pow:2.5", -1.0, 2.0), ("abs_pow:2.5", -2.0, 0.7), ("recip", 0.5, 3.0),
     ("pow:3", -1.0, 2.0), ("exp", -1.0, 2.0), ("ln", 0.5, 3.0), ("neg_ln", 0.5, 3.0),
@@ -491,15 +391,26 @@ _SHIPPED_L2 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "certify",
-    [pytest.param(lambda p=p: kernel_p_numeric(p), id=f"kernel-p{p}")
-     for p in (1.0, 1.1, 1.5, 2.0, 3.0, 3.7, 4.0)]
-    + [pytest.param(lambda c=c: verify_identity("L2", parse_function_id(c[0]), Interval(*c[1:])),
-                    id=f"L2-{c[0]}[{c[1]}, {c[2]}]") for c in _SHIPPED_L2],
-)
-def test_shipped_integrands_never_take_the_one_node_rerun(monkeypatch, certify):
-    # the rerun keeps every bit, so only a count shows the batching was lost
-    reruns = _count_reruns(monkeypatch)
-    certify()
-    assert len(reruns) == 0
+@pytest.mark.parametrize("fn,a,b", _SHIPPED_L2)
+def test_lemma2_double_integral_against_a_single_one(monkeypatch, fn, a, b):
+    # by Fubini and int m = 0 the double integral is -2 int_0^1 m(t) f'(x(t)) dt,
+    # so Lemma 2 is Lemma 1 rewritten; the 1D integral is an independent oracle
+    fd = parse_function_id(fn)
+    double, _ = _lemma2_double_integral(monkeypatch, fn, a, b)
+    edges = (0.5, *((b - k) / (b - a) for k in fd.kinks_inside(a, b)))
+    single = integrate_1d(lambda t: kernel_m(t) * fd.deriv(t * a + (1.0 - t) * b),
+                          Interval(0.0, 1.0), 1e-12, breakpoints=edges)
+    assert double.converged and single.converged
+    assert abs(double.value + 2.0 * single.value) <= (
+        double.error_estimate + 2.0 * single.error_estimate + 4 * 2.0**-52 * abs(double.value))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.1, 1.5, 2.0, 3.0, 3.7, 4.0, 7.5, 100.5])
+def test_kernel_moment_against_the_triangular_density(p):
+    # m(t) is uniform on [-1/2, 1/2], so m(t) - m(s) has density 1 - |d| on
+    # [-1, 1] and the moment is 2 int_0^1 d^p (1 - d) dd, a 1D oracle
+    moment = kernel_p_numeric(p)
+    oracle = integrate_1d(lambda d: 2.0 * d**p * (1.0 - d), Interval(0.0, 1.0), 1e-13)
+    assert moment.converged and oracle.converged
+    assert abs(moment.value - oracle.value) <= (moment.error_estimate + oracle.error_estimate
+                                                + 4 * 2.0**-52 * oracle.value)
