@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhcert import bounds, quadrature
+from hhcert import bounds, kernel, quadrature
 from hhcert.bounds import verify_identity
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import NonFiniteEvaluation
-from hhcert.kernel import kernel_m, kernel_p_numeric
+from hhcert.kernel import _moment_integrand, kernel_m, kernel_p_numeric
 from hhcert.quadrature import QuadratureResult, graded_map, integrate_1d, integrate_2d
 
 
@@ -288,18 +288,26 @@ def _recording(g, shapes):
     return recorded
 
 
+def _levels_of(monkeypatch, module):
+    """The (result, node shapes of each level) of every integrate_2d call made
+    through module."""
+    calls = []
+
+    def recorded(g, *args, **kwargs):
+        shapes = []
+        calls.append((integrate_2d(_recording(g, shapes), *args, **kwargs), shapes))
+        return calls[-1][0]
+
+    monkeypatch.setattr(module, "integrate_2d", recorded)
+    return calls
+
+
 def _lemma2_double_integral(monkeypatch, fn, a, b):
     """verify_identity's Lemma 2 double integral of fn on [a, b], and the shape
     of the nodes of each of its levels."""
-    results, shapes = [], []
-
-    def recorded(g, *args, **kwargs):
-        results.append(integrate_2d(_recording(g, shapes), *args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(bounds, "integrate_2d", recorded)
+    calls = _levels_of(monkeypatch, bounds)
     verify_identity("L2", parse_function_id(fn), Interval(a, b))
-    return results[0], shapes
+    return calls[0]
 
 
 class TestAdaptiveCubature:
@@ -382,6 +390,79 @@ class TestAdaptiveCubature:
         assert max(shape[0] for shape in shapes) <= 64
 
 
+def _iterated_integral(g, tol=1e-10, breakpoints_t=(), breakpoints_s=()):
+    """The integral of g over the unit square as an integral over s of one
+    integrate_1d over t per outer node: a reference that shares no code path
+    with integrate_2d's boxes.  Its error estimate adds the outer estimate to
+    the largest inner one."""
+    inner = []
+
+    def outer_integrand(s):
+        if np.ndim(s) != 0:
+            raise TypeError("outer integrand is scalar-only")
+        res = integrate_1d(lambda t: g(t, float(s)), Interval(0.0, 1.0), tol / 10.0,
+                           breakpoints_t)
+        inner.append(res)
+        return res.value
+
+    outer = integrate_1d(outer_integrand, Interval(0.0, 1.0), 0.9 * tol, breakpoints_s)
+    error = outer.error_estimate + max(res.error_estimate for res in inner)
+    converged = outer.converged and all(res.converged for res in inner) and error <= tol
+    return QuadratureResult(outer.value, error, outer.subdivisions, converged)
+
+
+def _kernel_integrand(p):
+    return lambda t, s: abs(kernel_m(t) - kernel_m(s)) ** p
+
+
+def _lemma2(fn, a, b, graded_t=()):
+    phi = graded_map((0.0, 0.5, *graded_t, 1.0), graded_t) if graded_t else None
+    return bounds._lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b, phi)
+
+
+_SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints_t": (0.5,), "breakpoints_s": (0.5,)}
+
+
+class TestAgainstIteratedIntegrals:
+    """integrate_2d's boxes against one 1D integral per outer node."""
+
+    @pytest.mark.parametrize(
+        "g,kwargs",
+        [
+            # the unmapped kernel's crease t = s is a diagonal: at p = 1.1 the
+            # boxes reach the node cap, and the estimate still covers the gap
+            pytest.param(_kernel_integrand(1.1), _SPLIT_AT_HALF, id="kernel-p1.1"),
+            pytest.param(_kernel_integrand(1.5), _SPLIT_AT_HALF, id="kernel-p1.5"),
+            pytest.param(_kernel_integrand(2.0), _SPLIT_AT_HALF, id="kernel-p2"),
+            pytest.param(_kernel_integrand(3.0), _SPLIT_AT_HALF, id="kernel-p3"),
+            pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7), _SPLIT_AT_HALF, id="L2-abs_pow"),
+            pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7, (0.7 / 2.7,)),
+                         {"tol": 1e-10, "breakpoints_t": (0.5, 0.7 / 2.7),
+                          "breakpoints_s": (0.5, 0.7 / 2.7)}, id="L2-abs_pow-graded"),
+            pytest.param(_lemma2("recip", 0.15, 0.9), _SPLIT_AT_HALF, id="L2-recip"),
+            pytest.param(_lemma2("pow:3", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-pow3"),
+            pytest.param(_lemma2("exp", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-exp"),
+            pytest.param(_lemma2("pow:-1", 0.5, 3.0), _SPLIT_AT_HALF, id="L2-pow-1"),
+            pytest.param(_lemma2("pow:-2", 1.0, 3.0), _SPLIT_AT_HALF, id="L2-pow-2"),
+            pytest.param(lambda t, s: t * s, {"tol": 1e-10}, id="t*s"),
+            pytest.param(lambda t, s: 1.0, {"tol": 1e-10}, id="constant"),
+            pytest.param(lambda t, s: abs(t - s), {"tol": 1e-7}, id="abs-diff"),
+            pytest.param(_scalar_only, _SPLIT_AT_HALF, id="scalar-only"),
+            # graded at its y edge, as for every non-integer p below 4
+            pytest.param(_moment_integrand(1.1), {"tol": 1e-10}, id="mapped-kernel-p1.1"),
+            pytest.param(_moment_integrand(2.0), {"tol": 1e-10}, id="mapped-kernel-p2"),
+            pytest.param(_moment_integrand(4.5), {"tol": 1e-10}, id="mapped-kernel-p4.5"),
+            pytest.param(lambda t, s: np.sqrt(t) + math.sin(s), {"tol": 1e-10},
+                         id="array-t-float-s"),
+        ],
+    )
+    def test_matches_the_iterated_integral(self, g, kwargs):
+        boxes, iterated = integrate_2d(g, **kwargs), _iterated_integral(g, **kwargs)
+        assert iterated.converged
+        assert abs(boxes.value - iterated.value) <= (
+            boxes.error_estimate + iterated.error_estimate + 4 * 2.0**-52 * abs(iterated.value))
+
+
 # the L2 goldens, a graded abs_pow case, and one interval for every other
 # catalog entry
 _SHIPPED_L2 = [
@@ -414,3 +495,23 @@ def test_kernel_moment_against_the_triangular_density(p):
     assert moment.converged and oracle.converged
     assert abs(moment.value - oracle.value) <= (moment.error_estimate + oracle.error_estimate
                                                 + 4 * 2.0**-52 * oracle.value)
+
+
+@pytest.mark.parametrize(
+    "module,certify",
+    [pytest.param(kernel, lambda p=p: kernel_p_numeric(p), id=f"kernel-p{p}")
+     for p in (1.0, 1.1, 1.5, 2.0, 3.0, 3.7, 4.0)]
+    + [pytest.param(bounds,
+                    lambda c=c: verify_identity("L2", parse_function_id(c[0]), Interval(*c[1:])),
+                    id=f"L2-{c[0]}[{c[1]}, {c[2]}]") for c in _SHIPPED_L2],
+)
+def test_shipped_integrands_stay_far_from_the_caps(monkeypatch, module, certify):
+    # each shipped certificate converges in a few levels of a few boxes, far
+    # below the caps (MAX_DEPTH = 60 levels, 4369 boxes of 15 x 15 nodes a
+    # level), where a result comes back as a best estimate, not converged
+    calls = _levels_of(monkeypatch, module)
+    certify()
+    [(res, shapes)] = calls
+    assert res.converged
+    assert res.subdivisions <= 4
+    assert max(shape[0] for shape in shapes) <= 64
