@@ -64,14 +64,19 @@ ORDER_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """Holder-conjugate exponents with 1/p + 1/q = 1."""
+    """Holder-conjugate exponents with 1/p + 1/q = 1.
+
+    p may be 1.0: the conjugate of a q of about 1e16 or more, where q/(q-1)
+    rounds to 1; the residual check then holds for every q >= 1e14.
+    """
 
     p: float
     q: float
 
     def __post_init__(self) -> None:
-        if not (self.p > 1.0 and self.q > 1.0):
-            raise InvalidExponent(f"conjugate exponents must exceed 1, got p={self.p}, q={self.q}")
+        if not (self.p >= 1.0 and self.q > 1.0):
+            raise InvalidExponent(
+                f"conjugate exponents need p >= 1 and q > 1, got p={self.p}, q={self.q}")
         resid = abs(1.0 / self.p + 1.0 / self.q - 1.0)
         if resid > 1e-14:
             raise InvalidExponent(
@@ -388,9 +393,10 @@ def verify_case(
 def _lemma2_integrand(fd: FunctionDescriptor, x_of, phi=None):
     """(f'(x(t)) - f'(x(s))) (m(s) - m(t)), the Lemma 2 integrand for integrate_2d.
 
-    t and s are arrays of one shape, and fd.deriv takes each of them whole.
-    With phi, a quadrature.graded_map, both axes are mapped by it and the
-    integrand takes both Jacobians.
+    t and s are integrate_2d's node vectors, which broadcast to its tensor
+    nodes: fd.deriv and kernel_m take each axis's nodes once, and the
+    differences broadcast.  With phi, a quadrature.graded_map, both axes are
+    mapped by it and the integrand takes both Jacobians.
     """
 
     def integrand(t, s):
@@ -446,6 +452,5 @@ def verify_identity(
         return abs(d1 - iv.width * (left + right))
     edges = (0.5, *kinks_t)
     phi = graded_map((0.0, *edges, 1.0), graded_t) if graded_t else None
-    dbl = integrate_2d(_lemma2_integrand(fd, x_of, phi), tol, breakpoints_t=edges,
-                       breakpoints_s=edges)
+    dbl = integrate_2d(_lemma2_integrand(fd, x_of, phi), tol, breakpoints=edges)
     return abs(-d1 - 0.5 * iv.width * dbl.value)

@@ -48,6 +48,10 @@ SCAN_TOL = 1e-12
 # Largest accepted grid: one scan slice is MAX_GRID_POINTS**2 floats (34 MB).
 MAX_GRID_POINTS = 2049
 
+# Largest accepted sweep: every record is held until output, about 5 KB a
+# case, so MAX_CASES cases take about 50 MB.
+MAX_CASES = 10_000
+
 # Declared gaps sum the Taylor series while x = h/m <= _SERIES_MAX_X (and
 # r x <= _SERIES_MAX_RX for |x|^r, whose terms first grow like (r x)^k / k!),
 # or for exp while h <= _SERIES_MAX_H.  Beyond these the difference quotient

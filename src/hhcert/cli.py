@@ -23,6 +23,7 @@ import sys
 from . import sampling
 from .bounds import evaluate_case, verify_case, verify_identity
 from .catalog import (
+    MAX_CASES,
     NO_VIOLATION,
     FunctionDescriptor,
     Interval,
@@ -170,6 +171,8 @@ def cmd_sweep(args) -> int:
     fd = parse_function_id(args.fn)
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
+    if args.cases > MAX_CASES:
+        raise ValueError(f"cases must be <= {MAX_CASES}, got {args.cases}")
     lo, hi = args.interval_range
     # checked here too, since --cases 0 evaluates no case that would check them
     sampling_range(lo, hi, fd.domain)
@@ -302,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="seeded randomized bound sweep")
     sweep.add_argument("--fn", required=True)
-    sweep.add_argument("--cases", type=int, default=10, help="number of intervals (default 10)")
+    sweep.add_argument("--cases", type=int, default=10,
+                       help=f"number of intervals (default 10, at most {MAX_CASES}: every "
+                            "record is held until output, about 5 KB a case)")
     sweep.add_argument("--seed", type=int, default=0, help="64-bit sweep seed (default 0)")
     sweep.add_argument("--q", type=float, default=2.0)
     sweep.add_argument("--interval-range", nargs=2, type=float, metavar=("LO", "HI"),

@@ -12,7 +12,8 @@ batched into a single call, so integrands vectorized over numpy arrays are
 cheap.  Scalar-only integrands work too, via an elementwise fallback.
 integrate_2d applies the tensor product of the same pair to boxes of the
 unit square and refines them level by level in the same way, halving a box
-along the axis whose rule difference dominates, or in four.
+along the axis whose rule difference dominates, or in four; it passes one
+node vector per axis, which the integrand broadcasts to the tensor nodes.
 """
 
 from __future__ import annotations
@@ -114,40 +115,58 @@ def _accepted(err: np.ndarray, est: np.ndarray, budget: np.ndarray) -> np.ndarra
     return (err <= budget) | (err <= 50.0 * _EPS * np.abs(est))
 
 
-def _refine(evaluate, edges: list[float], tol: float):
-    """Run one adaptive integral over [edges[0], edges[-1]].
+def _first_non_finite(y: np.ndarray) -> int:
+    """The flat index of y's first non-finite value, at a level whose errors
+    are not all finite; raises OverflowError(ERANGE) where y has none.
 
-    It starts from the panels between consecutive edges, and each level
-    calls ``evaluate(nodes)`` once on the (panels, 15) nodes of every open
-    panel.  A non-finite value raises NonFiniteEvaluation and a panel
-    estimate beyond the float range OverflowError(ERANGE), at the first
-    level that meets one; so does a value or error estimate beyond it at the
-    end.  Where the next level would pass MAX_DEPTH or hold more than
-    _MAX_PANELS panels, the rejected panels are added as they are and the
-    integral is reported as not converged.
-
-    Returns the value, error estimate, depth and converged flag.
+    Every Kronrod weight is positive, so a non-finite value makes its panel's
+    or box's error non-finite; with none, an estimate left the float range.
     """
+    finite = np.isfinite(y)
+    if finite.all():
+        raise range_error()
+    return int(np.argmin(finite))
+
+
+def integrate_1d(
+    g: Callable[[float], float],
+    iv: Interval,
+    tol: float = 1e-10,
+    breakpoints: Sequence[float] = (),
+) -> QuadratureResult:
+    """Integrate g over [iv.a, iv.b] to absolute tolerance tol.
+
+    The interval is pre-split at the given interior breakpoints so known
+    kinks or jumps land on panel boundaries.  Each level calls g once on the
+    (panels, 15) nodes of every open panel.  A degenerate interval yields
+    exactly zero.  Raises NonFiniteEvaluation if g returns NaN or infinity
+    at a quadrature node, and OverflowError(ERANGE) if a panel estimate, the
+    integral or its error estimate leaves the float range.  Where the next
+    level would pass MAX_DEPTH or hold more than _MAX_PANELS panels, the
+    open panels are added as they are: an integrand too rough for that
+    budget comes back with converged=False instead.
+    """
+    check_tol(tol)
+    if iv.is_degenerate:
+        return QuadratureResult(0.0, 0.0, 0, True)
+    edges = [iv.a, *_clean_breakpoints(breakpoints, iv.a, iv.b), iv.b]
     # a panel estimate or running sum past the float range is caught below
-    # as a value, not as a numpy warning; evaluate silences the integrand's own
+    # as a value, not as a numpy warning; eval_elementwise silences g's own
     with np.errstate(over="ignore", invalid="ignore"):
         lows, highs = np.array(edges[:-1]), np.array(edges[1:])
-        half_width = 0.5 * edges[-1] - 0.5 * edges[0]  # finite however wide
+        half_width = 0.5 * iv.b - 0.5 * iv.a  # finite however wide
         value = error = 0.0
         depth = 0
         while True:
             centers, halfw = _halves(lows, highs)
             nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
-            y = evaluate(nodes)
-            finite = np.isfinite(y)
-            if not finite.all():
-                x = float(nodes.ravel()[np.argmin(finite)])
-                raise NonFiniteEvaluation(f"integrand not finite at x={x!r}")
+            y = eval_elementwise(g, nodes)
             ik = halfw * (y @ _WK)
             ig = halfw * (y[:, 1::2] @ _WG)
             err = np.abs(ik - ig)
             if not np.isfinite(err).all():
-                raise range_error()
+                x = float(nodes.flat[_first_non_finite(y)])
+                raise NonFiniteEvaluation(f"integrand not finite at x={x!r}")
             accept = _accepted(err, ik, tol * halfw / half_width)
             rejected = ~accept
             value += ik[accept].sum()
@@ -165,29 +184,7 @@ def _refine(evaluate, edges: list[float], tol: float):
             break
         if not (np.isfinite(value) and np.isfinite(error)):
             raise range_error()
-        return float(value), float(error), depth, bool(n_rej == 0 and error <= tol)
-
-
-def integrate_1d(
-    g: Callable[[float], float],
-    iv: Interval,
-    tol: float = 1e-10,
-    breakpoints: Sequence[float] = (),
-) -> QuadratureResult:
-    """Integrate g over [iv.a, iv.b] to absolute tolerance tol.
-
-    The interval is pre-split at the given interior breakpoints so known
-    kinks or jumps land on panel boundaries.  A degenerate interval yields
-    exactly zero.  Raises NonFiniteEvaluation if g returns NaN or infinity
-    at a quadrature node, and OverflowError(ERANGE) if a panel estimate, the
-    integral or its error estimate leaves the float range; an integrand too
-    rough for the depth budget comes back with converged=False instead.
-    """
-    check_tol(tol)
-    if iv.is_degenerate:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    edges = [iv.a, *_clean_breakpoints(breakpoints, iv.a, iv.b), iv.b]
-    return QuadratureResult(*_refine(lambda nodes: eval_elementwise(g, nodes), edges, tol))
+    return QuadratureResult(float(value), float(error), depth, bool(n_rej == 0 and error <= tol))
 
 
 def graded_map(edges: Sequence[float], toward: Sequence[float]):
@@ -254,19 +251,20 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray, *rest: np.ndarray):
 def integrate_2d(
     g: Callable[[float, float], float],
     tol: float = 1e-10,
-    breakpoints_t: Sequence[float] = (),
-    breakpoints_s: Sequence[float] = (),
+    breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate g(t, s) over the unit square to absolute tolerance tol.
 
     An adaptive cubature over boxes (Genz and Malik, J. Comput. Appl. Math.
     6, 1980; Berntsen, Espelid and Genz, ACM TOMS 17, 1991).  The first boxes
-    are the products of the t panels and the s panels between each axis's
-    breakpoints.  Each level calls g(t, s) once, with t and s float arrays
-    of one shape that hold the 15 x 15 tensor Kronrod nodes of every open
-    box; an integrand that raises TypeError or ValueError on arrays, or
-    returns another shape, is evaluated one node at a time.  A box's value
-    is the tensor Kronrod rule K x K and its error estimate |K x K - G x G|.
+    are the products of the panels between the breakpoints, the same on
+    both axes.  Each level calls g(t, s) once, with t of shape (boxes, 15, 1)
+    and s of shape (boxes, 1, 15): the Kronrod nodes of each open box's t
+    and s sides, which broadcast to its 15 x 15 tensor nodes.  g returns
+    its values there, in the broadcast shape; an integrand that raises
+    TypeError or ValueError on arrays, or returns another shape, is
+    evaluated one node at a time.  A box's value is the tensor Kronrod rule
+    K x K and its error estimate |K x K - G x G|.
 
     A box is accepted as a panel of integrate_1d is: its error is within tol
     times its area, or within 50 eps of its value.  A level also ends the
@@ -275,8 +273,8 @@ def integrate_2d(
     open box is split: along t where its t difference |K x K - G x K|
     exceeds 4 times its s difference |K x K - K x G|, along s in the
     converse case, and in four where neither axis dominates.  Where the next
-    level would pass MAX_DEPTH levels or evaluate more than _MAX_PANELS * 15
-    nodes, the open boxes are added as they are and the result is not
+    level would pass MAX_DEPTH levels or hold more than _MAX_PANELS * 15
+    tensor nodes, the open boxes are added as they are and the result is not
     converged.  ``subdivisions`` counts the levels.
 
     It raises as integrate_1d does: NonFiniteEvaluation where g is NaN or
@@ -284,7 +282,7 @@ def integrate_2d(
     integral or its error estimate leaves the float range, ValueError for a
     bad tol or a breakpoint outside [0, 1]; any other error of g propagates.
 
-    Breakpoints are per-axis constants, so a C0 crease whose t-location moves
+    Breakpoints are constants, so a C0 crease whose t-location moves
     with s (such as |t - s| along the diagonal) cannot be pre-split; on such
     creases both embedded rules err the same way and the reported estimate
     can understate the true error by orders of magnitude.  Supply integrands
@@ -293,28 +291,22 @@ def integrate_2d(
     as kernel.kernel_p_numeric does for the kernel's |m(t) - m(s)|^p.
     """
     check_tol(tol)
-    s_edges = np.array([0.0, *_clean_breakpoints(breakpoints_s, 0.0, 1.0), 1.0])
-    t_edges = np.array([0.0, *_clean_breakpoints(breakpoints_t, 0.0, 1.0), 1.0])
+    edges = np.array([0.0, *_clean_breakpoints(breakpoints, 0.0, 1.0), 1.0])
     # every t panel against every s panel
-    n_t, n_s = t_edges.size - 1, s_edges.size - 1
-    t_lo, t_hi = np.tile(t_edges[:-1], n_s), np.tile(t_edges[1:], n_s)
-    s_lo, s_hi = np.repeat(s_edges[:-1], n_t), np.repeat(s_edges[1:], n_t)
-    n = _XK.size
+    panels = edges.size - 1
+    t_lo, t_hi = np.tile(edges[:-1], panels), np.tile(edges[1:], panels)
+    s_lo, s_hi = np.repeat(edges[:-1], panels), np.repeat(edges[1:], panels)
     value = error = 0.0
     depth = 0
-    # as in _refine, estimates past the float range are caught as values
+    # as in integrate_1d, estimates past the float range are caught as values
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             th, sh = 0.5 * (t_hi - t_lo), 0.5 * (s_hi - s_lo)
-            # t varies along axis 1 and s along axis 2 of the (boxes, 15, 15) nodes
-            t = np.repeat((0.5 * (t_lo + t_hi)[:, None] + th[:, None] * _XK)[:, :, None], n, 2)
-            s = np.repeat((0.5 * (s_lo + s_hi)[:, None] + sh[:, None] * _XK)[:, None, :], n, 1)
+            # t varies along axis 1 and s along axis 2 of the (boxes, 15, 15)
+            # tensor nodes, which g broadcasts from these two
+            t = (0.5 * (t_lo + t_hi)[:, None] + th[:, None] * _XK)[:, :, None]
+            s = (0.5 * (s_lo + s_hi)[:, None] + sh[:, None] * _XK)[:, None, :]
             y = eval_elementwise(g, t, s)
-            finite = np.isfinite(y)
-            if not finite.all():
-                i = np.argmin(finite)
-                raise NonFiniteEvaluation(
-                    f"integrand not finite at (t, s)=({float(t.flat[i])!r}, {float(s.flat[i])!r})")
             # Kronrod and Gauss sums over s, then each of them over t, times
             # the rule's Jacobian th * sh, a quarter of the box's area
             jac = th * sh
@@ -322,7 +314,10 @@ def integrate_2d(
             kk = jac * (y_k @ _WK)
             err = np.abs(kk - jac * (y_g[:, 1::2] @ _WG))
             if not np.isfinite(err).all():
-                raise range_error()
+                i = _first_non_finite(y)
+                t, s = np.broadcast_arrays(t, s)
+                raise NonFiniteEvaluation(
+                    f"integrand not finite at (t, s)=({float(t.flat[i])!r}, {float(s.flat[i])!r})")
             accept = _accepted(err, kk, tol * (4.0 * jac))
             value += kk[accept].sum()
             error += err[accept].sum()
@@ -336,7 +331,7 @@ def integrate_2d(
                 d_s = np.abs(kk_r - jac_r * (y_g[rejected] @ _WK))
                 cut_t, cut_s = ~(d_s > 4.0 * d_t), ~(d_t > 4.0 * d_s)
                 # the next level's boxes have 15 * 15 nodes each, of _MAX_PANELS * 15
-                if np.sum((1 + cut_t) * (1 + cut_s)) * n <= _MAX_PANELS:
+                if np.sum((1 + cut_t) * (1 + cut_s)) * _XK.size <= _MAX_PANELS:
                     t_lo, t_hi, s_lo, s_hi, cut_s = _bisect(
                         t_lo[rejected], t_hi[rejected], cut_t, s_lo[rejected], s_hi[rejected],
                         cut_s)

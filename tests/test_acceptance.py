@@ -150,8 +150,7 @@ def test_c01_kernel_second_moment():
     res = integrate_2d(
         lambda t, s: (kernel_m(t) - kernel_m(s)) ** 2,
         tol=1e-10,
-        breakpoints_t=(0.5,),
-        breakpoints_s=(0.5,),
+        breakpoints=(0.5,),
     )
     err = abs(res.value - 1.0 / 6.0)
     _verdict(

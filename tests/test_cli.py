@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from hhcert import bounds, catalog, cli
-from hhcert.catalog import MAX_GRID_POINTS
+from hhcert.catalog import MAX_CASES, MAX_GRID_POINTS
 
 _SCHEMA_KEYS = [
     "case_id", "function", "a", "b", "q", "theorem",
@@ -389,6 +389,8 @@ _UNREAD_OPTIONS = [
     (["sweep", "--fn", "nosuch", "--cases", "-1", "--tol", "-1"],
      "unknown function 'nosuch'; available: abs_pow, exp, ln, neg_ln, pow, recip"),
     (["sweep", "--fn", "exp", "--cases", "-1", "--tol", "-1"], "cases must be >= 0, got -1"),
+    (["sweep", "--fn", "exp", "--cases", str(MAX_CASES + 1), "--tol", "-1"],
+     f"cases must be <= {MAX_CASES}, got {MAX_CASES + 1}"),
     (["verify", "--fn", "nosuch", "--interval", "1", "1", "--tol", "0"],
      "unknown function 'nosuch'; available: abs_pow, exp, ln, neg_ln, pow, recip"),
     (["verify", "--fn", "exp", "--interval", "2", "1", "--tol", "0"],
@@ -426,6 +428,30 @@ def test_grid_above_cap_exits_2_before_allocating(capsys, argv):
     assert peak < 4_000_000
 
 
+def test_cases_above_cap_exit_2_before_any_case(capsys):
+    # a sweep holds every record until output, about 5 KB a case
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--fn", "exp", "--cases", str(MAX_CASES + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: cases must be <= {MAX_CASES}, got {MAX_CASES + 1}\n"
+    assert peak < 4_000_000
+
+
+def test_cases_cap_admits_its_own_value(capsys, monkeypatch):
+    # the cap at a size that is cheap to run
+    monkeypatch.setattr(cli, "MAX_CASES", 2)
+    argv = ["sweep", "--fn", "exp", "--grid-points", "9", "--format", "json", "--cases"]
+    code, out = _run(capsys, argv + ["2"])
+    assert code == 0 and {rec["case_id"] for rec in json.loads(out)["records"]} == {0, 1}
+    assert _run(capsys, argv + ["3"]) == (2, "")
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -440,6 +466,17 @@ def test_exit_logic_ignores_violated_hypothesis_rows():
     assert cli._exit_from_records(rows) == 0
     rows.append({"hypothesis_verdict": "no-violation-found", "holds": False})
     assert cli._exit_from_records(rows) == 1
+
+
+def test_a_q_whose_conjugate_rounds_to_1_keeps_every_row(capsys):
+    # from q of about 1e16 on, q/(q-1) rounds to p = 1.0, and T3's constant
+    # is kernel_p_norm(1) = 1/3: T3's bound is (b - a)/2 times it
+    code, out = _run(capsys, ["verify", "--fn", "ln", "--interval", "2", "3", "--q", "1e16",
+                              "--format", "json"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [rec["theorem"] for rec in records] == ["T2", "T3", "KO", "HH"]
+    assert records[1]["bound"] == pytest.approx(1.0 / 6.0, rel=4 * 2.0**-52)
 
 
 def test_module_entry_point_runs():
@@ -611,6 +648,7 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
         ["verify", "--fn", "exp", "--interval", "0", "1", "--grid-points", "9"],
         ["sweep", "--fn", "exp", "--cases", "1", "--grid-points", "9"],
         ["identity", "--lemma", "1", "--fn", "exp", "--interval", "0", "1"],
+        ["identity", "--lemma", "2", "--fn", "exp", "--interval", "0", "1"],
         ["kernel", "--p", "2"],
         ["means", "--a", "1", "--b", "2"],
     ]

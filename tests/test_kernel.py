@@ -93,8 +93,7 @@ class TestPMoment:
         res = integrate_2d(
             lambda t, s: (kernel_m(t) - kernel_m(s)) ** 2,
             tol=1e-10,
-            breakpoints_t=(0.5,),
-            breakpoints_s=(0.5,),
+            breakpoints=(0.5,),
         )
         assert res.converged
         assert abs(res.value - kernel_p_moment(2.0).closed_form) <= 1e-10

@@ -1,7 +1,9 @@
 """Adaptive Gauss-Kronrod integration, over panels in 1D and over boxes in 2D."""
 
+import dataclasses
 import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -130,9 +132,34 @@ def test_bad_tol_rejected(tol):
         integrate_1d(np.exp, Interval(0.0, 1.0), tol=tol)
 
 
-def test_non_finite_evaluation_raises():
-    with pytest.raises(NonFiniteEvaluation):
-        integrate_1d(lambda x: 1.0 / x, Interval(-1.0, 1.0))
+_ERANGE = (errno.ERANGE, os.strerror(errno.ERANGE))
+_XK = quadrature._XK  # the nodes of the one panel [-1, 1]; odd indices are Gauss nodes
+
+
+@pytest.mark.parametrize(
+    "g,iv,error,args",
+    [
+        pytest.param(lambda x: 1.0 / x, Interval(-1.0, 1.0), NonFiniteEvaluation,
+                     ("integrand not finite at x=0.0",), id="inf-at-the-centre"),
+        pytest.param(lambda x: np.where(x == _XK[2], np.nan, x), Interval(-1.0, 1.0),
+                     NonFiniteEvaluation, ("integrand not finite at x=-0.864864423359769",),
+                     id="nan-at-a-kronrod-node"),
+        pytest.param(lambda x: np.where(x == _XK[5], np.nan, x), Interval(-1.0, 1.0),
+                     NonFiniteEvaluation, ("integrand not finite at x=-0.405845151377397",),
+                     id="nan-at-a-gauss-node"),
+        # the first non-finite node in row order is named, here the -inf
+        pytest.param(lambda x: np.where(x > 0.5, np.inf, np.where(x < -0.5, -np.inf, x)),
+                     Interval(-1.0, 1.0), NonFiniteEvaluation,
+                     ("integrand not finite at x=-0.991455371120813",), id="plus-and-minus-inf"),
+        # every value is finite, the panel's Kronrod sum of them is not
+        pytest.param(lambda x: np.full_like(x, 1.7e308), Interval(0.0, 4.0), OverflowError,
+                     _ERANGE, id="panel-estimate-overflows"),
+    ],
+)
+def test_non_finite_evaluation_raises(g, iv, error, args):
+    with pytest.raises(error) as exc:
+        integrate_1d(g, iv)
+    assert type(exc.value) is error and exc.value.args == args
 
 
 def test_panels_past_half_the_float_maximum():
@@ -269,7 +296,7 @@ class TestIterated2D:
         assert res.value == pytest.approx(1.0 / 3.0, abs=5e-7)
 
     def test_breakpoints_forwarded(self):
-        res = integrate_2d(_scalar_only, tol=1e-10, breakpoints_t=(0.5,), breakpoints_s=(0.5,))
+        res = integrate_2d(_scalar_only, tol=1e-10, breakpoints=(0.5,))
         assert res.converged
         assert res.error_estimate <= 1e-10
         assert res.value == pytest.approx(1.0 / 6.0, abs=1e-10)
@@ -280,9 +307,9 @@ class TestIterated2D:
 
 
 def _recording(g, shapes):
-    """g, appending the shape of each array call's nodes to shapes."""
+    """g, appending the broadcast shape of each array call's nodes to shapes."""
     def recorded(t, s):
-        shapes.append(np.shape(t))
+        shapes.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
         return g(t, s)
 
     return recorded
@@ -310,19 +337,39 @@ def _lemma2_double_integral(monkeypatch, fn, a, b):
     return calls[0]
 
 
+_UNIT = 0.5 + 0.5 * _XK  # the nodes of the one box's axes
+
+
+def _not_finite_at(t, s):
+    return (NonFiniteEvaluation, (f"integrand not finite at (t, s)=({t!r}, {s!r})",))
+
+
 class TestAdaptiveCubature:
-    def test_nonfinite_value_names_its_node(self):
-        def g(t, s):
-            return np.where((t == 0.5) & (s == 0.5), np.nan, np.sqrt(t) + s)
-
-        with pytest.raises(NonFiniteEvaluation, match=r"\(t, s\)=\(0\.5, 0\.5\)"):
+    @pytest.mark.parametrize(
+        "g,raised",
+        [
+            pytest.param(lambda t, s: np.where((t == 0.5) & (s == 0.5), np.nan, np.sqrt(t) + s),
+                         _not_finite_at(0.5, 0.5), id="nan-at-the-centre"),
+            pytest.param(lambda t, s: np.where((t == _UNIT[2]) & (s == _UNIT[12]), np.nan, t + s),
+                         _not_finite_at(0.06756778832011551, 0.9324322116798844),
+                         id="nan-at-a-kronrod-node"),
+            pytest.param(lambda t, s: np.where((t == _UNIT[9]) & (s == _UNIT[3]), np.nan, t + s),
+                         _not_finite_at(0.7029225756886985, 0.129234407200303),
+                         id="nan-at-a-gauss-node"),
+            # the first non-finite node in row order (t, then s) is named, here a +inf
+            pytest.param(lambda t, s: np.where(s > 0.9, np.inf, np.where(t > 0.9, -np.inf, t + s)),
+                         _not_finite_at(0.0042723144395935275, 0.9324322116798844),
+                         id="plus-and-minus-inf"),
+            # every value is finite, a box's Kronrod sum of them is not
+            pytest.param(lambda t, s: np.where(s > 0.5, 1.7e308, np.sqrt(t) + s),
+                         (OverflowError, _ERANGE), id="box-estimate-overflows"),
+        ],
+    )
+    def test_nonfinite_value_names_its_node(self, g, raised):
+        error, args = raised
+        with pytest.raises(error) as exc:
             integrate_2d(g, tol=1e-10)
-
-    def test_box_estimate_beyond_the_float_range_raises(self):
-        # every value is finite, a box's Kronrod sum of them is not
-        with pytest.raises(OverflowError) as err:
-            integrate_2d(lambda t, s: np.where(s > 0.5, 1.7e308, np.sqrt(t) + s), tol=1e-10)
-        assert err.value.args[0] == errno.ERANGE
+        assert type(exc.value) is error and exc.value.args == args
 
     def test_integrand_exception_propagates_unchanged(self):
         class Boom(Exception):
@@ -339,8 +386,8 @@ class TestAdaptiveCubature:
         [
             ({"tol": 0.0}, "tol must be positive and finite"),
             ({"tol": math.inf}, "tol must be positive and finite"),
-            ({"breakpoints_t": (2.0,), "breakpoints_s": (-1.0,)}, r"breakpoint -1\.0 outside"),
-            ({"breakpoints_t": (math.nan,)}, "breakpoint nan outside"),
+            ({"breakpoints": (0.5, -1.0)}, r"breakpoint -1\.0 outside"),
+            ({"breakpoints": (math.nan,)}, "breakpoint nan outside"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, message):
@@ -373,6 +420,19 @@ class TestAdaptiveCubature:
         assert res.subdivisions == 4
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-4)
 
+    def test_each_axis_comes_as_one_node_vector_per_box(self):
+        # t varies along axis 1 and s along axis 2, and g broadcasts them to
+        # the 15 x 15 tensor nodes of each box
+        seen = []
+
+        def g(t, s):
+            seen.append((np.shape(t), np.shape(s)))
+            return np.sqrt(t) * (1.0 + s * s)
+
+        integrate_2d(g, 1e-10, breakpoints=(0.5,))
+        assert len(seen) > 1
+        assert all(ts == ((ts[0][0], 15, 1), (ts[0][0], 1, 15)) for ts in seen)
+
     def test_a_smooth_axis_is_not_split(self):
         # sqrt(t) needs refinement toward t = 0, and the polynomial in s none:
         # each level halves the one open box along t only, which leaves two
@@ -390,7 +450,7 @@ class TestAdaptiveCubature:
         assert max(shape[0] for shape in shapes) <= 64
 
 
-def _iterated_integral(g, tol=1e-10, breakpoints_t=(), breakpoints_s=()):
+def _iterated_integral(g, tol=1e-10, breakpoints=()):
     """The integral of g over the unit square as an integral over s of one
     integrate_1d over t per outer node: a reference that shares no code path
     with integrate_2d's boxes.  Its error estimate adds the outer estimate to
@@ -400,12 +460,11 @@ def _iterated_integral(g, tol=1e-10, breakpoints_t=(), breakpoints_s=()):
     def outer_integrand(s):
         if np.ndim(s) != 0:
             raise TypeError("outer integrand is scalar-only")
-        res = integrate_1d(lambda t: g(t, float(s)), Interval(0.0, 1.0), tol / 10.0,
-                           breakpoints_t)
+        res = integrate_1d(lambda t: g(t, float(s)), Interval(0.0, 1.0), tol / 10.0, breakpoints)
         inner.append(res)
         return res.value
 
-    outer = integrate_1d(outer_integrand, Interval(0.0, 1.0), 0.9 * tol, breakpoints_s)
+    outer = integrate_1d(outer_integrand, Interval(0.0, 1.0), 0.9 * tol, breakpoints)
     error = outer.error_estimate + max(res.error_estimate for res in inner)
     converged = outer.converged and all(res.converged for res in inner) and error <= tol
     return QuadratureResult(outer.value, error, outer.subdivisions, converged)
@@ -420,7 +479,7 @@ def _lemma2(fn, a, b, graded_t=()):
     return bounds._lemma2_integrand(parse_function_id(fn), lambda u: u * a + (1.0 - u) * b, phi)
 
 
-_SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints_t": (0.5,), "breakpoints_s": (0.5,)}
+_SPLIT_AT_HALF = {"tol": 1e-10, "breakpoints": (0.5,)}
 
 
 class TestAgainstIteratedIntegrals:
@@ -437,8 +496,7 @@ class TestAgainstIteratedIntegrals:
             pytest.param(_kernel_integrand(3.0), _SPLIT_AT_HALF, id="kernel-p3"),
             pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7), _SPLIT_AT_HALF, id="L2-abs_pow"),
             pytest.param(_lemma2("abs_pow:2.5", -2.0, 0.7, (0.7 / 2.7,)),
-                         {"tol": 1e-10, "breakpoints_t": (0.5, 0.7 / 2.7),
-                          "breakpoints_s": (0.5, 0.7 / 2.7)}, id="L2-abs_pow-graded"),
+                         {"tol": 1e-10, "breakpoints": (0.5, 0.7 / 2.7)}, id="L2-abs_pow-graded"),
             pytest.param(_lemma2("recip", 0.15, 0.9), _SPLIT_AT_HALF, id="L2-recip"),
             pytest.param(_lemma2("pow:3", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-pow3"),
             pytest.param(_lemma2("exp", -1.0, 2.0), _SPLIT_AT_HALF, id="L2-exp"),
@@ -454,6 +512,8 @@ class TestAgainstIteratedIntegrals:
             pytest.param(_moment_integrand(4.5), {"tol": 1e-10}, id="mapped-kernel-p4.5"),
             pytest.param(lambda t, s: np.sqrt(t) + math.sin(s), {"tol": 1e-10},
                          id="array-t-float-s"),
+            # an array of t's shape, not of the nodes': evaluated one node at a time
+            pytest.param(lambda t, s: np.exp(t), {"tol": 1e-10}, id="t-only"),
         ],
     )
     def test_matches_the_iterated_integral(self, g, kwargs):
@@ -484,6 +544,23 @@ def test_lemma2_double_integral_against_a_single_one(monkeypatch, fn, a, b):
     assert double.converged and single.converged
     assert abs(double.value + 2.0 * single.value) <= (
         double.error_estimate + 2.0 * single.error_estimate + 4 * 2.0**-52 * abs(double.value))
+
+
+def test_lemma2_takes_f_prime_on_each_axis_node_once(monkeypatch):
+    # a box has 15 distinct t and 15 distinct s: f' runs on 30 values of it a
+    # level, not on all 15 x 15 nodes twice
+    fd = parse_function_id("recip")
+    sizes = []
+
+    def deriv(x):
+        if np.ndim(x) == 3:  # a level of integrate_2d's nodes
+            sizes.append(np.size(x))
+        return fd.deriv(x)
+
+    calls = _levels_of(monkeypatch, bounds)
+    verify_identity("L2", dataclasses.replace(fd, deriv=deriv), Interval(0.5, 3.0))
+    [(_, shapes)] = calls
+    assert sizes == [15 * shape[0] for shape in shapes for _axis in "ts"]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.1, 1.5, 2.0, 3.0, 3.7, 4.0, 7.5, 100.5])
