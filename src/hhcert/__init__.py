@@ -11,12 +11,9 @@ from .bounds import (
     BoundReport,
     ConjugatePair,
     SandwichReport,
-    bound_kirmaci_ozdemir,
-    bound_theorem2,
-    bound_theorem3,
     conjugate_of,
-    hh_sandwich,
-    midpoint_gap,
+    evaluate_case,
+    verify_case,
     verify_identity,
 )
 from .catalog import (
@@ -73,15 +70,12 @@ __all__ = [
     "SandwichReport",
     "SplitMix64",
     "UnknownFunction",
-    "bound_kirmaci_ozdemir",
-    "bound_theorem2",
-    "bound_theorem3",
     "check_convexity",
     "check_hypothesis",
     "check_proposition",
     "conjugate_of",
     "draw_interval",
-    "hh_sandwich",
+    "evaluate_case",
     "integrate_1d",
     "integrate_2d",
     "kernel_m",
@@ -93,7 +87,7 @@ __all__ = [
     "mean_identric",
     "mean_logarithmic",
     "mean_p_logarithmic",
-    "midpoint_gap",
     "parse_function_id",
+    "verify_case",
     "verify_identity",
 ]

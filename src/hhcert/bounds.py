@@ -12,14 +12,15 @@ alone, each valid when |f'|^q is convex on [a, b] for its exponent:
              * ((|f'(a)|^q + |f'(b)|^q) / 2)^(1/q),   1/p + 1/q = 1  (q > 1)
     KO:  (3^(1-1/q) / 8) * (b-a) * (|f'(a)| + |f'(b)|)               (q > 1)
 
-T3 at q = 2 coincides with T2.  Each evaluator also checks its hypothesis
-with catalog.check_hypothesis, which decides it in closed form for catalog
-functions and samples it for hand-built descriptors, and reports the verdict
-alongside the bound; a bound is computed even when the hypothesis check
-fails, since the gap/bound comparison is still informative.  evaluate_case
-gives all three reports of one case and shares the gap and the hypothesis
-checks between them, and verify_case adds the Hermite-Hadamard sandwich and
-its report, whose hypothesis (f convex) is always sampled.
+T3 at q = 2 coincides with T2.  A case is evaluated whole: evaluate_case
+gives its T2, T3 and KO reports, and verify_case adds the Hermite-Hadamard
+sandwich f(m) <= mean <= (f(a)+f(b))/2 and its HH report, whose hypothesis
+(f convex) is always sampled.  Both share one private evaluator, which reads
+the gap and the endpoint derivatives once and checks each report's
+hypothesis with catalog.check_hypothesis once per distinct exponent: in
+closed form for catalog functions, by sampling for hand-built descriptors.
+A bound is reported even when its hypothesis fails, since the gap/bound
+comparison is still informative.
 
 _case_values owns a case's f(m) and its signed gaps d1 = mean - f(m) and
 d2 = (f(a)+f(b))/2 - mean, which every gap, sandwich and identity reads.
@@ -182,18 +183,6 @@ def _graded(g, edges, toward):
     return mapped
 
 
-def midpoint_gap(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> float:
-    """Absolute midpoint-rule error |f(m) - mean| of fd over iv.
-
-    A degenerate interval gives exactly zero.  iv must lie inside fd's domain.
-    tol is the quadrature tolerance of a descriptor without declared gaps.
-    """
-    require_domain(fd, iv)
-    if iv.is_degenerate:
-        return 0.0
-    return abs(_case_values(fd, iv, tol)[2])
-
-
 def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> tuple[SandwichReport, float]:
     """The sandwich from values = _case_values(...), and its worst ordering
     violation max(-d1, -d2, 0), which decides ordered; all three values are
@@ -208,17 +197,6 @@ def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> tuple[SandwichRep
     sandwich = SandwichReport(lower=lower, middle=middle, upper=upper,
                               ordered=violation <= ORDER_SLACK)
     return sandwich, violation
-
-
-def hh_sandwich(fd: FunctionDescriptor, iv: Interval, tol: float = 1e-10) -> SandwichReport:
-    """Evaluate midpoint value <= integral mean <= endpoint average.
-
-    The ordering holds for convex fd; it is reported when neither signed gap
-    is below -ORDER_SLACK.  On a degenerate interval all three values equal
-    fd.eval(a) and the report is ordered.  iv must lie inside fd's domain.
-    """
-    require_domain(fd, iv)
-    return _sandwich(fd, iv, None if iv.is_degenerate else _case_values(fd, iv, tol))[0]
 
 
 def _ratio(gap: float, bound: float) -> float:
@@ -240,113 +218,50 @@ def _power_mean(da: float, db: float, q: float, root) -> float:
     return root(0.5 * total)
 
 
-def _bound(theorem: str, q: float, width: float, da: float, db: float) -> float:
-    """The T2, T3 or KO bound from the width and the endpoint |f'| values.
-
-    T3 and KO check q first, so a zero width gives 0.0 only for a valid q.
-    """
-    if theorem == "T2":
-        return width / math.sqrt(6.0) * _power_mean(da, db, 2, math.sqrt)
-    if theorem == "T3":
-        return width * theorem3_constant(q) * _power_mean(da, db, q, lambda s: s ** (1.0 / q))
-    if not (math.isfinite(q) and q > 1.0):
-        raise InvalidExponent(f"bound_kirmaci_ozdemir requires q > 1, got q={q}")
-    return 3.0 ** (1.0 - 1.0 / q) / 8.0 * width * (da + db)
-
-
 def _report(
-    fd: FunctionDescriptor,
-    iv: Interval,
-    theorems,
-    q: float,
-    tol: float,
-    grid_points: int,
-    read: list | None = None,
-) -> list[BoundReport]:
-    """One BoundReport per theorem name, T2's hypothesis at q = 2 and the others' at q.
+    fd: FunctionDescriptor, iv: Interval, q: float, tol: float, grid_points: int
+) -> tuple[tuple | None, tuple[BoundReport, BoundReport, BoundReport]]:
+    """The case values of _case_values (None on a degenerate iv) and the T2,
+    T3 and KO reports, T2's hypothesis at q = 2 and the others' at q.
 
     The domain, tol and grid_points are checked first, before any evaluation.
     The endpoint derivatives and the case values are evaluated once, and the
-    hypothesis once per distinct exponent.  Each theorem checks q only after
-    the reports before it are complete, as if each were evaluated on its own.
-    The case values the gaps read are appended to read, if given, unless iv
-    is degenerate.
+    hypothesis once per distinct exponent in {2, q}.  T2's report is complete
+    before q is checked, so an error of T2's bound, of the case values or of
+    the q = 2 hypothesis comes before an invalid q.
     """
     require_domain(fd, iv)
     check_tol(tol)
     check_grid_points(grid_points)
+    degenerate = iv.is_degenerate
     da = db = 0.0  # a degenerate interval: zero bounds and gap, f and f' unevaluated
-    if not iv.is_degenerate:
+    if not degenerate:
         da = abs(float(eval_elementwise(fd.deriv, iv.a)))
         db = abs(float(eval_elementwise(fd.deriv, iv.b)))
     # every bound is linear in the width; past the float maximum b - a
     # overflows, and the bound comes from the half-width, doubled
     scale, width = (1.0, iv.width) if math.isfinite(iv.width) else (2.0, 0.5 * iv.b - 0.5 * iv.a)
-    values = None
-    hypotheses: dict[float, ConvexityReport] = {}
-    reports = []
-    for theorem in theorems:
-        bound = scale * _bound(theorem, q, width, da, db)
-        hyp_q = 2.0 if theorem == "T2" else q
-        if values is None and not iv.is_degenerate:
-            values = _case_values(fd, iv, tol)
-        gap = abs(values[2]) if values else 0.0
-        if hyp_q not in hypotheses:
-            hypotheses[hyp_q] = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_hypothesis(
-                fd, iv, hyp_q, grid_points=grid_points
-            )
-        reports.append(BoundReport(
-            gap=gap,
-            bound=bound,
-            ratio=_ratio(gap, bound),
-            theorem=theorem,
-            q=hyp_q,
-            hypothesis=hypotheses[hyp_q],
-            holds=gap <= bound + HOLDS_SLACK,
-        ))
-    if read is not None and values is not None:
-        read.append(values)
-    return reports
 
+    def hypothesis(hyp_q: float) -> ConvexityReport:
+        if degenerate:
+            return TRIVIAL_HYPOTHESIS
+        return check_hypothesis(fd, iv, hyp_q, grid_points=grid_points)
 
-def bound_theorem2(
-    fd: FunctionDescriptor,
-    iv: Interval,
-    tol: float = 1e-10,
-    grid_points: int = 257,
-) -> BoundReport:
-    """Quadratic-mean bound on the midpoint gap; hypothesis |f'|^2 convex."""
-    return _report(fd, iv, ("T2",), 2.0, tol, grid_points)[0]
+    def report(theorem: str, bound: float, hyp_q: float, hyp: ConvexityReport) -> BoundReport:
+        return BoundReport(gap=gap, bound=bound, ratio=_ratio(gap, bound), theorem=theorem,
+                           q=hyp_q, hypothesis=hyp, holds=gap <= bound + HOLDS_SLACK)
 
-
-def bound_theorem3(
-    fd: FunctionDescriptor,
-    iv: Interval,
-    q: float,
-    tol: float = 1e-10,
-    grid_points: int = 257,
-) -> BoundReport:
-    """Power-mean bound on the midpoint gap; hypothesis |f'|^q convex, q > 1.
-
-    At q = 2 this reduces to the quadratic-mean bound of bound_theorem2.
-    """
-    _bound("T3", q, 0.0, 0.0, 0.0)  # q is checked before the domain
-    return _report(fd, iv, ("T3",), q, tol, grid_points)[0]
-
-
-def bound_kirmaci_ozdemir(
-    fd: FunctionDescriptor,
-    iv: Interval,
-    q: float,
-    tol: float = 1e-10,
-    grid_points: int = 257,
-) -> BoundReport:
-    """Endpoint-sum bound (3^(1-1/q)/8) * (b-a) * (|f'(a)| + |f'(b)|), q > 1.
-
-    The same q feeds both the constant and the convexity hypothesis check.
-    """
-    _bound("KO", q, 0.0, 0.0, 0.0)  # q is checked before the domain
-    return _report(fd, iv, ("KO",), q, tol, grid_points)[0]
+    t2_bound = scale * (width / math.sqrt(6.0) * _power_mean(da, db, 2, math.sqrt))
+    values = None if degenerate else _case_values(fd, iv, tol)
+    gap = 0.0 if values is None else abs(values[2])
+    hyp_2 = hypothesis(2.0)
+    t2 = report("T2", t2_bound, 2.0, hyp_2)
+    # theorem3_constant checks q, so T3's bound is 0.0 on a zero width only for a valid q
+    t3_bound = scale * (width * theorem3_constant(q)
+                        * _power_mean(da, db, q, lambda s: s ** (1.0 / q)))
+    hyp_q = hyp_2 if q == 2.0 else hypothesis(q)
+    ko_bound = scale * (3.0 ** (1.0 - 1.0 / q) / 8.0 * width * (da + db))
+    return values, (t2, report("T3", t3_bound, q, hyp_q), report("KO", ko_bound, q, hyp_q))
 
 
 def evaluate_case(
@@ -356,15 +271,14 @@ def evaluate_case(
     tol: float = 1e-10,
     grid_points: int = 257,
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
-    """The T2, T3 and KO reports of one case, equal to the three public calls.
+    """The T2, T3 and KO reports of one case.
 
     The gap and the endpoint derivatives are evaluated once, and the
     convexity of |f'|^q is checked once per distinct exponent in {2, q}.
-    Errors are raised in the order of bound_theorem2, bound_theorem3,
-    bound_kirmaci_ozdemir called in turn: an invalid q is reported only after
-    the T2 report succeeds.
+    The domain, tol and grid_points are checked before any evaluation, and
+    an invalid q (not > 1) is reported only after the T2 report succeeds.
     """
-    return tuple(_report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points))
+    return _report(fd, iv, q, tol, grid_points)[1]
 
 
 def verify_case(
@@ -379,11 +293,11 @@ def verify_case(
     The first three are evaluate_case's, errors included.  HH's hypothesis is the
     sampled convexity scan of f (trivial on a degenerate interval), its gap the worst
     ordering violation max(-d1, -d2, 0), and its bound ORDER_SLACK, so its holds is
-    the sandwich's ordered.
+    the sandwich's ordered.  On a degenerate interval the sandwich's three values
+    are f(a), and it is ordered.
     """
-    read: list[tuple] = []
-    reports = _report(fd, iv, ("T2", "T3", "KO"), q, tol, grid_points, read)
-    sandwich, gap = _sandwich(fd, iv, read[0] if read else None)
+    values, reports = _report(fd, iv, q, tol, grid_points)
+    sandwich, gap = _sandwich(fd, iv, values)
     convexity = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_convexity(fd.eval, iv, grid_points)
     hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
                      hypothesis=convexity, holds=sandwich.ordered)

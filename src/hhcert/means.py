@@ -153,7 +153,20 @@ def _require_q(q) -> float:
     return float(q)
 
 
-def _direct_rhs(prop: str, a, b, n, q, norm, variant: str, sqrt=math.sqrt):
+def _power_mean(x, y, k: int, q):
+    """The power mean A(x^(kq), y^(kq))^(1/q), directly."""
+    return _avg(x ** (k * q), y ** (k * q)) ** (1 / q)
+
+
+def _scaled_power_mean(x, y, k: int, q):
+    """_power_mean with the base of the larger power, w, factored out:
+    w^k A((x/w)^(kq), (y/w)^(kq))^(1/q).  Neither power exceeds 1 and one is
+    1, so for any q neither overflows, and their mean is at least 1/2."""
+    w = max(x, y) if k > 0 else min(x, y)
+    return w**k * _avg((x / w) ** (k * q), (y / w) ** (k * q)) ** (1 / q)
+
+
+def _direct_rhs(prop: str, a, b, n, q, norm, variant: str, sqrt=math.sqrt, pmean=_power_mean):
     """The rhs of prop, in floats or, given Decimal a, b, q and norm, in Decimals."""
     width = b - a
     if prop == "P1":
@@ -162,10 +175,10 @@ def _direct_rhs(prop: str, a, b, n, q, norm, variant: str, sqrt=math.sqrt):
             base = sqrt(base)
         return abs(n) * width / sqrt(6.0) * base
     if prop == "P2":
-        return abs(n) * width * norm * _avg(a ** (q * (n - 1)), b ** (q * (n - 1))) ** (1 / q)
+        return abs(n) * width * norm * pmean(a, b, n - 1, q)
     if prop == "P3":
-        return width / (a * b) * norm * _avg(b**q, a**q) ** (1 / q)
-    return width / (a * b) ** 2 * norm * _avg(a ** (2 * q), b ** (2 * q)) ** (1 / q)
+        return width / (a * b) * norm * pmean(b, a, 1, q)
+    return width / (a * b) ** 2 * norm * pmean(a, b, 2, q)
 
 
 # Wide enough that no power of a float pair leaves the exponent range; any
@@ -179,9 +192,10 @@ def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
     Where the direct form underflows (a**(2q) is 0 at a = 1e-60, q = 3),
     overflows or divides by an underflowed (a*b)**2, the formula is evaluated
     in 40-digit decimals, whose exponent range holds every power of a float
-    pair, and rounded once.  A rhs beyond the float range, too large for a
-    float or too small for any but 0, raises the range error a float power
-    raises.
+    pair, and rounded once; there each power mean of P2-P4 factors out the
+    base of its larger power, so a q as large as 1e300 stays in range.  A
+    rhs beyond the float range, too large for a float or too small for any
+    but 0, raises the range error a float power raises.
     """
     try:
         rhs = _direct_rhs(prop, a, b, n, q, norm, variant)
@@ -193,6 +207,7 @@ def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
         rhs = float(_direct_rhs(
             prop, Decimal(a), Decimal(b), n, None if q is None else Decimal(q),
             None if norm is None else Decimal(norm), variant, sqrt=lambda x: Decimal(x).sqrt(),
+            pmean=_scaled_power_mean,
         ))
     if not 0.0 < rhs < math.inf:
         raise range_error()

@@ -261,7 +261,8 @@ def integrate_2d(
     both axes.  Each level calls g(t, s) once, with t of shape (boxes, 15, 1)
     and s of shape (boxes, 1, 15): the Kronrod nodes of each open box's t
     and s sides, which broadcast to its 15 x 15 tensor nodes.  g returns
-    its values there, in the broadcast shape; an integrand that raises
+    its values there, in the broadcast shape; a scalar, or an array of t's
+    or of s's own shape, is broadcast to it.  An integrand that raises
     TypeError or ValueError on arrays, or returns another shape, is
     evaluated one node at a time.  A box's value is the tensor Kronrod rule
     K x K and its error estimate |K x K - G x G|.

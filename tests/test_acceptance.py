@@ -19,15 +19,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from hhcert.bounds import (
-    HOLDS_SLACK,
-    bound_kirmaci_ozdemir,
-    bound_theorem2,
-    bound_theorem3,
-    hh_sandwich,
-    midpoint_gap,
-    verify_identity,
-)
+from hhcert.bounds import HOLDS_SLACK, evaluate_case, verify_case, verify_identity
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.cli import CSV_COLUMNS, main as cli_main
 from hhcert.kernel import kernel_m, kernel_p_moment
@@ -117,16 +109,22 @@ def bound_cases():
 
 
 @pytest.fixture(scope="module")
-def t2_reports(bound_cases):
-    return [bound_theorem2(fd, iv, grid_points=_GRID) for fd, iv in bound_cases]
+def case_reports(bound_cases):
+    """q -> the (T2, T3, KO) reports of every bound case at that q."""
+    return {
+        q: [evaluate_case(fd, iv, q, grid_points=_GRID) for fd, iv in bound_cases]
+        for q in _T3_EXPONENTS
+    }
 
 
 @pytest.fixture(scope="module")
-def t3_reports(bound_cases):
-    return {
-        q: [bound_theorem3(fd, iv, q, grid_points=_GRID) for fd, iv in bound_cases]
-        for q in _T3_EXPONENTS
-    }
+def t2_reports(case_reports):
+    return [t2 for t2, _, _ in case_reports[2.0]]
+
+
+@pytest.fixture(scope="module")
+def t3_reports(case_reports):
+    return {q: [t3 for _, t3, _ in reports] for q, reports in case_reports.items()}
 
 
 def _draw_pairs(seed: int, count: int, min_width: float) -> list[MeanPair]:
@@ -268,10 +266,8 @@ def test_c07_theorem3_reduces_to_theorem2(t2_reports, t3_reports):
     )
 
 
-def test_c08_kirmaci_ozdemir_holds(bound_cases):
-    reports = [
-        bound_kirmaci_ozdemir(fd, iv, 2.0, grid_points=_GRID) for fd, iv in bound_cases
-    ]
+def test_c08_kirmaci_ozdemir_holds(case_reports):
+    reports = [ko for _, _, ko in case_reports[2.0]]
     gated = [r for r in reports if r.hypothesis.ok]
     failures = sum(not r.holds for r in gated)
     _verdict(
@@ -289,7 +285,7 @@ def test_c09_sandwich_ordering():
         label, lo, hi = _CONVEX_FAMILIES[i % len(_CONVEX_FAMILIES)]
         fd = parse_function_id(label)
         iv = draw_interval(rng, lo, hi, fd.domain)
-        if not hh_sandwich(fd, iv).ordered:
+        if not verify_case(fd, iv, 2.0, grid_points=9)[0].ordered:
             unordered += 1
     _verdict(
         "C09",
@@ -406,10 +402,9 @@ def test_c10_p4_matches_reciprocal_bound(mean_pairs):
         q = _PROP_EXPONENTS[i % len(_PROP_EXPONENTS)]
         rep = check_proposition("P4", mp, q=q)
         iv = Interval(mp.a, mp.b)
-        worst_lhs = max(worst_lhs, abs(rep.lhs - midpoint_gap(fd, iv)))
-        worst_rhs = max(
-            worst_rhs, _rel(rep.rhs, bound_theorem3(fd, iv, q, grid_points=33).bound)
-        )
+        _, t3, _ = evaluate_case(fd, iv, q, grid_points=33)
+        worst_lhs = max(worst_lhs, abs(rep.lhs - t3.gap))
+        worst_rhs = max(worst_rhs, _rel(rep.rhs, t3.bound))
     _verdict(
         "C10",
         worst_lhs <= 1e-8 and worst_rhs <= 1e-12,

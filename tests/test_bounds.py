@@ -11,22 +11,32 @@ from hypothesis import strategies as st
 from hhcert import bounds
 from hhcert.bounds import (
     ConjugatePair,
-    bound_kirmaci_ozdemir,
-    bound_theorem2,
-    bound_theorem3,
     conjugate_of,
     evaluate_case,
-    hh_sandwich,
-    midpoint_gap,
     theorem3_constant,
     verify_case,
     verify_identity,
 )
 from hhcert.catalog import VIOLATED, Interval, check_convexity, parse_function_id
-from hhcert.errors import DomainViolation, InvalidExponent
+from hhcert.errors import DomainViolation, InvalidExponent, NonFiniteEvaluation
 from hhcert.kernel import kernel_p_norm
 
 _UNIT = Interval(0.0, 1.0)
+
+
+def _row(theorem, fd, iv, q=2.0, grid_points=257):
+    """The T2, T3 or KO report of one case, from evaluate_case."""
+    return evaluate_case(fd, iv, q, grid_points=grid_points)[("T2", "T3", "KO").index(theorem)]
+
+
+def _gap(fd, iv):
+    """The midpoint gap of one case, as its rows report it."""
+    return _row("T2", fd, iv).gap
+
+
+def _sandwich(fd, iv):
+    """The sandwich of one case, from verify_case."""
+    return verify_case(fd, iv, 2.0, grid_points=9)[0]
 
 
 class TestConjugate:
@@ -72,18 +82,18 @@ class TestTheorem3Constant:
 class TestMidpointGap:
     def test_square(self):
         # mean of x^2 on [0,1] is 1/3, midpoint value 1/4
-        gap = midpoint_gap(parse_function_id("pow:2"), _UNIT)
+        gap = _gap(parse_function_id("pow:2"), _UNIT)
         assert gap == pytest.approx(1.0 / 12.0, abs=1e-10)
 
     def test_cube(self):
-        gap = midpoint_gap(parse_function_id("pow:3"), _UNIT)
+        gap = _gap(parse_function_id("pow:3"), _UNIT)
         assert gap == pytest.approx(1.0 / 8.0, abs=1e-10)
 
     def test_affine_gap_vanishes(self):
-        assert midpoint_gap(parse_function_id("pow:1"), Interval(2.0, 5.0)) <= 1e-12
+        assert _gap(parse_function_id("pow:1"), Interval(2.0, 5.0)) <= 1e-12
 
     def test_degenerate(self):
-        assert midpoint_gap(parse_function_id("exp"), Interval(3.0, 3.0)) == 0.0
+        assert _gap(parse_function_id("exp"), Interval(3.0, 3.0)) == 0.0
 
     @pytest.mark.parametrize(
         "label,a,b", [("ln", 0.0, 1.0), ("ln", -1.0, -1.0), ("recip", -1.0, 1.0)]
@@ -91,7 +101,7 @@ class TestMidpointGap:
     def test_outside_domain_raises(self, label, a, b):
         # checked before the degenerate shortcut and before any evaluation
         with pytest.raises(DomainViolation, match=f"not inside the domain of {label}"):
-            midpoint_gap(parse_function_id(label), Interval(a, b))
+            _gap(parse_function_id(label), Interval(a, b))
 
 
 _CATALOG_LABELS = (
@@ -138,8 +148,6 @@ class TestOneIntegralPerCase:
         assert sandwich.middle == sandwich.lower + d1
         assert hh.gap == max(-d1, -d2, 0.0)
         assert sandwich.ordered == hh.holds == (hh.gap <= bounds.ORDER_SLACK)
-        assert midpoint_gap(fd, iv) == rows[0].gap
-        assert hh_sandwich(fd, iv) == sandwich
         assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
@@ -156,8 +164,6 @@ class TestOneIntegralPerCase:
         assert hh.gap == max(sandwich.lower - sandwich.middle, sandwich.middle - sandwich.upper,
                              0.0)
         assert sandwich.ordered == hh.holds == (hh.gap <= bounds.ORDER_SLACK)
-        assert midpoint_gap(fd, iv) == rows[0].gap
-        assert hh_sandwich(fd, iv) == sandwich
         assert evaluate_case(fd, iv, q, grid_points=9) == tuple(rows)
 
 
@@ -194,11 +200,11 @@ class TestKinks:
         iv = _KINKED_GAP
         ref = abs(abs(iv.midpoint) ** 2.5 - _abs_pow_mean(iv))
         for fd in (parse_function_id("abs_pow:2.5"), _hand_built("abs_pow:2.5")):
-            assert midpoint_gap(fd, iv) == pytest.approx(float(ref), abs=1e-14)
+            assert _gap(fd, iv) == pytest.approx(float(ref), abs=1e-14)
 
     def test_sandwich_mean_matches_a_reference(self):
         for fd in (parse_function_id("abs_pow:2.5"), _hand_built("abs_pow:2.5")):
-            rep = hh_sandwich(fd, _KINKED_IDENTITY)
+            rep = _sandwich(fd, _KINKED_IDENTITY)
             assert rep.middle == pytest.approx(float(_abs_pow_mean(_KINKED_IDENTITY)), abs=1e-13)
 
     @pytest.mark.parametrize("lemma", ["L1", "L2"])
@@ -222,13 +228,13 @@ class TestKinks:
     @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 0.0), Interval(1.0, 2.0)])
     def test_kink_on_or_outside_an_endpoint_is_no_breakpoint(self, iv):
         fd = parse_function_id("abs_pow:2.5")
-        assert midpoint_gap(fd, iv) > 0.0
-        assert hh_sandwich(fd, iv).ordered
+        assert _gap(fd, iv) > 0.0
+        assert _sandwich(fd, iv).ordered
         assert verify_identity("L1", fd, iv) <= 1e-13
 
     @staticmethod
     def _integrals(monkeypatch, fd) -> list:
-        """The integrals of midpoint_gap, hh_sandwich and both identities of fd on [-1, 2]."""
+        """The integrals of evaluate_case, verify_case and both identities of fd on [-1, 2]."""
         seen = []
         real_1d, real_2d = bounds.integrate_1d, bounds.integrate_2d
 
@@ -243,8 +249,8 @@ class TestKinks:
         monkeypatch.setattr(bounds, "integrate_1d", spy_1d)
         monkeypatch.setattr(bounds, "integrate_2d", spy_2d)
         iv = Interval(-1.0, 2.0)
-        midpoint_gap(fd, iv)
-        hh_sandwich(fd, iv)
+        evaluate_case(fd, iv, 3.0)
+        verify_case(fd, iv, 3.0, grid_points=9)
         verify_identity("L1", fd, iv)
         verify_identity("L2", fd, iv)
         return seen
@@ -269,26 +275,26 @@ class TestKinks:
 
 class TestSandwich:
     def test_exp_values_and_order(self):
-        rep = hh_sandwich(parse_function_id("exp"), _UNIT)
+        rep = _sandwich(parse_function_id("exp"), _UNIT)
         assert rep.lower == pytest.approx(math.exp(0.5), rel=1e-12)
         assert rep.middle == pytest.approx(math.e - 1.0, rel=1e-10)
         assert rep.upper == pytest.approx((1.0 + math.e) / 2.0, rel=1e-12)
         assert rep.ordered
 
     def test_concave_function_breaks_order(self):
-        rep = hh_sandwich(parse_function_id("ln"), Interval(1.0, 3.0))
+        rep = _sandwich(parse_function_id("ln"), Interval(1.0, 3.0))
         assert rep.lower > rep.middle
         assert not rep.ordered
 
     def test_degenerate(self):
-        rep = hh_sandwich(parse_function_id("exp"), Interval(2.0, 2.0))
+        rep = _sandwich(parse_function_id("exp"), Interval(2.0, 2.0))
         assert rep.lower == rep.middle == rep.upper == pytest.approx(math.exp(2.0))
         assert rep.ordered
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (-1.0, -1.0), (0.0, 1.0)])
     def test_outside_domain_raises(self, a, b):
         with pytest.raises(DomainViolation, match="not inside the domain of ln"):
-            hh_sandwich(parse_function_id("ln"), Interval(a, b))
+            _sandwich(parse_function_id("ln"), Interval(a, b))
 
 
 class TestHHReport:
@@ -299,10 +305,10 @@ class TestHHReport:
         fd, iv = parse_function_id(label), Interval(a, b)
         sandwich, reports = verify_case(fd, iv, 2.0, grid_points=33)
         rep = reports[-1]
-        assert sandwich == hh_sandwich(fd, iv)
         assert rep.theorem == "HH"
         assert rep.bound == bounds.ORDER_SLACK
         d1, d2 = fd.gaps(a, b)
+        assert sandwich.middle == sandwich.lower + d1
         assert rep.gap == max(-d1, -d2, 0.0)
         assert rep.holds == sandwich.ordered == (rep.gap <= rep.bound)
         assert rep.hypothesis == check_convexity(fd.eval, iv, 33)
@@ -327,7 +333,7 @@ class TestHHReport:
 
 class TestTheorem2:
     def test_square_on_unit(self):
-        rep = bound_theorem2(parse_function_id("pow:2"), _UNIT)
+        rep = _row("T2", parse_function_id("pow:2"), _UNIT)
         assert rep.theorem == "T2"
         assert rep.gap == pytest.approx(1.0 / 12.0, abs=1e-10)
         assert rep.bound == pytest.approx(0.5773502691896258, rel=1e-14)
@@ -336,18 +342,18 @@ class TestTheorem2:
         assert rep.holds
 
     def test_cube_on_unit(self):
-        rep = bound_theorem2(parse_function_id("pow:3"), _UNIT)
+        rep = _row("T2", parse_function_id("pow:3"), _UNIT)
         assert rep.gap == pytest.approx(1.0 / 8.0, abs=1e-10)
         assert rep.bound == pytest.approx(0.8660254037844386, rel=1e-14)
         assert rep.holds
 
     def test_concave_f_is_fine_when_deriv_power_is_convex(self):
-        rep = bound_theorem2(parse_function_id("ln"), Interval(0.5, 3.0))
+        rep = _row("T2", parse_function_id("ln"), Interval(0.5, 3.0))
         assert rep.hypothesis.ok
         assert rep.holds
 
     def test_degenerate_reports_trivially(self):
-        rep = bound_theorem2(parse_function_id("exp"), Interval(1.0, 1.0))
+        rep = _row("T2", parse_function_id("exp"), Interval(1.0, 1.0))
         assert rep.gap == 0.0
         assert rep.bound == 0.0
         assert math.isnan(rep.ratio)
@@ -356,9 +362,9 @@ class TestTheorem2:
     def test_shift_covariance_of_ratio(self):
         # for exp both gap and bound scale by e^c under a shift by c
         fd = parse_function_id("exp")
-        base = bound_theorem2(fd, Interval(0.3, 1.1), grid_points=65)
+        base = _row("T2", fd, Interval(0.3, 1.1), grid_points=65)
         for c in (0.7, -1.2):
-            shifted = bound_theorem2(fd, Interval(0.3 + c, 1.1 + c), grid_points=65)
+            shifted = _row("T2", fd, Interval(0.3 + c, 1.1 + c), grid_points=65)
             assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)
 
 
@@ -381,7 +387,7 @@ class TestPowerMeanOverflow:
 
 class TestTheorem3:
     def test_q3_square_on_unit(self):
-        rep = bound_theorem3(parse_function_id("pow:2"), _UNIT, q=3.0)
+        rep = _row("T3", parse_function_id("pow:2"), _UNIT, q=3.0)
         assert rep.theorem == "T3"
         assert rep.bound == pytest.approx(0.5934278973544118, rel=1e-12)
         assert rep.holds
@@ -393,61 +399,45 @@ class TestTheorem3:
     def test_q2_reduces_to_theorem2(self, label, a, b):
         fd = parse_function_id(label)
         iv = Interval(a, b)
-        t3 = bound_theorem3(fd, iv, q=2.0, grid_points=65)
-        t2 = bound_theorem2(fd, iv, grid_points=65)
+        t2, t3, _ = evaluate_case(fd, iv, 2.0, grid_points=65)
         assert t3.bound == pytest.approx(t2.bound, rel=1e-14)
         assert t3.gap == t2.gap
 
     @pytest.mark.parametrize("q", [1.0, 0.8, math.nan])
     def test_rejects_bad_q(self, q):
         with pytest.raises(InvalidExponent):
-            bound_theorem3(parse_function_id("exp"), _UNIT, q=q)
+            evaluate_case(parse_function_id("exp"), _UNIT, q)
 
     @settings(deadline=None, max_examples=15)
     @given(q=st.floats(1.05, 20.0))
     def test_exp_bound_holds_for_any_q(self, q):
-        rep = bound_theorem3(parse_function_id("exp"), Interval(-1.0, 2.0), q=q, grid_points=33)
+        rep = _row("T3", parse_function_id("exp"), Interval(-1.0, 2.0), q=q, grid_points=33)
         assert rep.holds
 
 
 class TestKirmaciOzdemir:
     def test_square_on_unit(self):
-        rep = bound_kirmaci_ozdemir(parse_function_id("pow:2"), _UNIT, q=2.0)
+        rep = _row("KO", parse_function_id("pow:2"), _UNIT, q=2.0)
         assert rep.theorem == "KO"
         assert rep.bound == pytest.approx(0.4330127018922193, rel=1e-14)
         assert rep.holds
 
     def test_cube_on_unit(self):
-        rep = bound_kirmaci_ozdemir(parse_function_id("pow:3"), _UNIT, q=2.0)
+        rep = _row("KO", parse_function_id("pow:3"), _UNIT, q=2.0)
         assert rep.bound == pytest.approx(0.649519052838329, rel=1e-14)
         assert rep.holds
 
     def test_rejects_bad_q(self):
-        with pytest.raises(InvalidExponent):
-            bound_kirmaci_ozdemir(parse_function_id("exp"), _UNIT, q=1.0)
+        # through T3's conjugate_of, which is evaluated before KO
+        with pytest.raises(InvalidExponent, match="conjugate_of"):
+            evaluate_case(parse_function_id("exp"), _UNIT, 1.0)
 
     def test_degenerate_reports_trivially(self):
-        rep = bound_kirmaci_ozdemir(parse_function_id("recip"), Interval(2.0, 2.0), q=3.0)
+        rep = _row("KO", parse_function_id("recip"), Interval(2.0, 2.0), q=3.0)
         assert rep.holds and rep.gap == rep.bound == 0.0
 
 
 class TestEvaluateCase:
-    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize(
-        "label,a,b",
-        [("pow:3", 0.0, 2.0), ("abs_pow:2.5", -2.0, 2.0), ("ln", 0.5, 3.0), ("exp", 1.0, 1.0)],
-    )
-    def test_matches_public_wrappers(self, label, a, b, q):
-        fd, iv = parse_function_id(label), Interval(a, b)
-        got = evaluate_case(fd, iv, q, 1e-10, 33)
-        want = (
-            bound_theorem2(fd, iv, 1e-10, 33),
-            bound_theorem3(fd, iv, q, 1e-10, 33),
-            bound_kirmaci_ozdemir(fd, iv, q, 1e-10, 33),
-        )
-        # repr distinguishes every float bit pattern, nan included
-        assert repr(got) == repr(want)
-
     @pytest.mark.parametrize("q,scans", [(2.0, [2.0]), (3.0, [2.0, 3.0])])
     @pytest.mark.parametrize("declared,integrals", [(True, 0), (False, 1)])
     def test_one_gap_and_one_scan_per_exponent(self, monkeypatch, q, scans, declared, integrals):
@@ -482,23 +472,23 @@ class TestEvaluateCase:
             evaluate_case(parse_function_id(label), Interval(a, b), 3.0)
 
     def test_errors_in_public_call_order(self):
-        # T2 is evaluated first, so its error wins over an invalid q ...
+        # the arguments are checked first, so their errors win over an invalid q ...
         with pytest.raises(DomainViolation):
             evaluate_case(parse_function_id("ln"), Interval(-1.0, 1.0), 0.5)
         with pytest.raises(ValueError, match="grid_points must be >= 3"):
             evaluate_case(parse_function_id("exp"), _UNIT, 0.5, grid_points=2)
-        # ... and T3's conjugate check comes before KO's own
+        # ... and T2's report is complete before q is checked: an overflowing
+        # T2 bound (e^355 squared) and a gap past the float range come first
+        exp = parse_function_id("exp")
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            evaluate_case(exp, Interval(355.0, 356.0), 0.5)
+        with pytest.raises(NonFiniteEvaluation):
+            verify_case(exp, Interval(710.0, 711.0), 0.5)
         for iv in (_UNIT, Interval(1.0, 1.0)):
-            with pytest.raises(InvalidExponent, match="conjugate_of"):
-                evaluate_case(parse_function_id("exp"), iv, 1.0)
+            for case in (evaluate_case, verify_case):
+                with pytest.raises(InvalidExponent, match="conjugate_of"):
+                    case(exp, iv, 1.0)
 
-
-    @pytest.mark.parametrize(
-        "wrapper,q", [(bound_theorem3, 1.0), (bound_kirmaci_ozdemir, 0.5)]
-    )
-    def test_public_wrappers_check_q_before_the_domain(self, wrapper, q):
-        with pytest.raises(InvalidExponent):
-            wrapper(parse_function_id("ln"), Interval(-1.0, 1.0), q)
 
     @pytest.mark.parametrize("iv", [_UNIT, Interval(1.0, 1.0)])
     def test_each_report_carries_its_hypothesis_exponent(self, iv):

@@ -56,6 +56,19 @@ class TestEvalElementwise:
         assert str(err.value) == str(direct.value)
 
 
+    def test_a_scalar_or_one_arguments_shape_is_broadcast(self):
+        t, s = np.array([[1.0], [2.0]]), np.array([[0.5, 1.5, 2.5]])
+        const = eval_elementwise(lambda x: 2.0, np.arange(3.0))
+        assert const.tolist() == [2.0, 2.0, 2.0] and const.flags.writeable
+        got = eval_elementwise(lambda t, s: 3.0 * s, t, s)
+        assert got.tolist() == [[1.5, 4.5, 7.5]] * 2
+
+    def test_another_shape_is_evaluated_one_point_at_a_time(self):
+        t, s = np.array([[1.0], [2.0]]), np.array([[0.5, 1.5, 2.5]])
+        got = eval_elementwise(lambda t, s: np.transpose(t - s), t, s)
+        assert got.tolist() == [[0.5, -0.5, -1.5], [1.5, 0.5, -0.5]]
+
+
 class TestInterval:
     def test_properties(self):
         iv = Interval(1.0, 4.0)

@@ -100,11 +100,8 @@ json.dump(runs, sys.stdout)
 """
 
 
-@functools.cache
-def _outputs() -> dict:
-    """(exit status, stdout) of every case and format, all run in one pinned subprocess."""
-    runs = [[f"{name}.{fmt}", argv + ["--format", fmt]]
-            for name, (argv, _) in sorted(_CASES.items()) for fmt in FORMATS]
+def run_pinned(runs: list) -> dict:
+    """{key: (exit status, stdout)} of the [key, argv] runs, all in one pinned subprocess."""
     path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", _CAPTURE],
@@ -116,6 +113,13 @@ def _outputs() -> dict:
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     return {key: tuple(result) for key, result in json.loads(proc.stdout).items()}
+
+
+@functools.cache
+def _outputs() -> dict:
+    """(exit status, stdout) of every case and format."""
+    return run_pinned([[f"{name}.{fmt}", argv + ["--format", fmt]]
+                       for name, (argv, _) in sorted(_CASES.items()) for fmt in FORMATS])
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

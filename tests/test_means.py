@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhcert.bounds import bound_theorem2, bound_theorem3, midpoint_gap
+from hhcert.bounds import evaluate_case
 from hhcert.catalog import Interval, parse_function_id
 from hhcert.errors import InvalidExponent, InvalidParameter
 from hhcert.means import (
@@ -192,30 +192,27 @@ class TestConsistencyWithBounds:
         rep = check_proposition("P4", MeanPair(a, b), q=q)
         fd = parse_function_id("recip")
         iv = Interval(a, b)
-        assert rep.lhs == pytest.approx(midpoint_gap(fd, iv), abs=1e-8)
-        assert rep.rhs == pytest.approx(
-            bound_theorem3(fd, iv, q=q, grid_points=33).bound, rel=1e-12
-        )
+        _, t3, _ = evaluate_case(fd, iv, q, grid_points=33)
+        assert rep.lhs == pytest.approx(t3.gap, abs=1e-8)
+        assert rep.rhs == pytest.approx(t3.bound, rel=1e-12)
 
     @pytest.mark.parametrize("a,b,n", [(1.0, 2.0, 3), (0.5, 1.5, 2), (1.0, 4.0, -2)])
     def test_p1_derived_matches_power_bound(self, a, b, n):
         rep = check_proposition("P1", MeanPair(a, b), n=n, variant="as-derived")
         fd = parse_function_id(f"pow:{n}")
         iv = Interval(a, b)
-        assert rep.lhs == pytest.approx(midpoint_gap(fd, iv), abs=1e-8)
-        assert rep.rhs == pytest.approx(
-            bound_theorem2(fd, iv, grid_points=33).bound, rel=1e-12
-        )
+        t2 = evaluate_case(fd, iv, 2.0, grid_points=33)[0]
+        assert rep.lhs == pytest.approx(t2.gap, abs=1e-8)
+        assert rep.rhs == pytest.approx(t2.bound, rel=1e-12)
 
     @pytest.mark.parametrize("a,b,q", [(1.0, 2.0, 2.0), (0.4, 1.1, 3.0)])
     def test_p3_derived_matches_neg_ln_bound(self, a, b, q):
         rep = check_proposition("P3", MeanPair(a, b), q=q, variant="as-derived")
         fd = parse_function_id("neg_ln")
         iv = Interval(a, b)
-        assert rep.lhs == pytest.approx(midpoint_gap(fd, iv), abs=1e-8)
-        assert rep.rhs == pytest.approx(
-            bound_theorem3(fd, iv, q=q, grid_points=33).bound, rel=1e-12
-        )
+        _, t3, _ = evaluate_case(fd, iv, q, grid_points=33)
+        assert rep.lhs == pytest.approx(t3.gap, abs=1e-8)
+        assert rep.rhs == pytest.approx(t3.bound, rel=1e-12)
 
 
 def _rhs_reference(prop: str, a: float, b: float, n: int, q: float) -> float:
@@ -305,3 +302,18 @@ def test_cli_rhs_beyond_the_float_range_exits_2(capsys):
     assert captured.out == ""
     assert captured.err == "error: (34, 'Numerical result out of range')\n"
 
+
+
+@pytest.mark.parametrize("a,b,n", [(1.0, 2.0, 2), (3.0, 7.0, -3)])
+@pytest.mark.parametrize("q", [1e19, 1e100, 1e300])
+def test_cli_huge_q_prints_the_rhs_of_q_1e18(capsys, a, b, n, q):
+    # b^q, or a^(q(n-1)), left even the decimal exponent range, and the
+    # command exited 2 with a range error; the text output names no q
+    from hhcert import cli
+
+    argv = ["means", "--a", repr(a), "--b", repr(b), "--n", str(n), "--q"]
+    assert cli.main(argv + ["1e18"]) == 0
+    want = capsys.readouterr()
+    assert cli.main(argv + [repr(q)]) == 0
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, "")

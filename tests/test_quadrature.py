@@ -276,6 +276,47 @@ def test_integrand_error_propagates_from_the_array_call():
     assert len(calls) == 1
 
 
+def _one_node_at_a_time(g):
+    """g made scalar-only: float() of an array of nodes raises TypeError."""
+    return lambda *xs: g(*map(float, xs))
+
+
+def _spied(g, calls):
+    def spy(*xs):
+        calls.append(len(xs))
+        return g(*xs)
+    return spy
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.5,), (0.3, 0.7)])
+@pytest.mark.parametrize(
+    "g",
+    [lambda t, s: np.exp(t), lambda t, s: np.sin(7.0 * s) ** 2, lambda t, s: np.sqrt(t),
+     lambda t, s: 2.5],
+    ids=["exp-t", "sin-s", "sqrt-t", "constant"],
+)
+def test_one_axis_and_constant_2d_results_are_broadcast(g, breakpoints):
+    # a result of one node vector's shape, or a scalar, is one call a level,
+    # and the same integral bit for bit as the node-by-node evaluation
+    calls = []
+    got = integrate_2d(_spied(g, calls), 1e-10, breakpoints)
+    want = integrate_2d(_one_node_at_a_time(g), 1e-10, breakpoints)
+    assert len(calls) == got.subdivisions + 1
+    assert (repr(got.value), repr(got.error_estimate), got.subdivisions, got.converged) == (
+        repr(want.value), repr(want.error_estimate), want.subdivisions, want.converged)
+
+
+@pytest.mark.parametrize("c", [2.5, -1e-3])
+def test_constant_1d_result_is_broadcast(c):
+    calls = []
+    iv = Interval(-3.0, 7.5)
+    got = integrate_1d(_spied(lambda x: c, calls), iv, 1e-10, (iv.midpoint,))
+    want = integrate_1d(_one_node_at_a_time(lambda x: c), iv, 1e-10, (iv.midpoint,))
+    assert len(calls) == got.subdivisions + 1 == 1
+    assert (repr(got.value), repr(got.error_estimate)) == (
+        repr(want.value), repr(want.error_estimate))
+
+
 class TestIterated2D:
     def test_separable_product(self):
         res = integrate_2d(lambda t, s: t * s, tol=1e-10)
@@ -512,7 +553,7 @@ class TestAgainstIteratedIntegrals:
             pytest.param(_moment_integrand(4.5), {"tol": 1e-10}, id="mapped-kernel-p4.5"),
             pytest.param(lambda t, s: np.sqrt(t) + math.sin(s), {"tol": 1e-10},
                          id="array-t-float-s"),
-            # an array of t's shape, not of the nodes': evaluated one node at a time
+            # an array of t's shape, not of the nodes', broadcast to them
             pytest.param(lambda t, s: np.exp(t), {"tol": 1e-10}, id="t-only"),
         ],
     )
