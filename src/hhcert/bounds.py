@@ -16,19 +16,22 @@ T3 at q = 2 coincides with T2.  A case is evaluated whole: evaluate_case
 gives its T2, T3 and KO reports, and verify_case adds the Hermite-Hadamard
 sandwich f(m) <= mean <= (f(a)+f(b))/2 and its HH report, whose hypothesis
 (f convex) is always sampled.  Both share one private evaluator, which reads
-the gap and the endpoint derivatives once and checks each report's
-hypothesis with catalog.check_hypothesis once per distinct exponent: in
-closed form for catalog functions, by sampling for hand-built descriptors.
-A bound is reported even when its hypothesis fails, since the gap/bound
-comparison is still informative.
+the gap and the endpoint derivatives once and decides each report's
+hypothesis once per distinct exponent: from those two derivatives, by
+catalog.declared_hypothesis, for catalog functions, and by the sampled scan
+of catalog.check_hypothesis for hand-built descriptors.  A bound is reported
+even when its hypothesis fails, since the gap/bound comparison is still
+informative.  A case evaluates f and f' at single points as plain floats,
+g(x) under one np.errstate per case; node arrays, of an integral or a scan,
+go through eval_elementwise.
 
 _case_values owns a case's f(m) and its signed gaps d1 = mean - f(m) and
 d2 = (f(a)+f(b))/2 - mean, which every gap, sandwich and identity reads.
 Catalog functions declare the gaps in closed form, so they integrate nothing
-for them, unless a gap or the midpoint leaves the float range: then the
-integral of f runs only to raise its error.  A hand-built descriptor gets one
-integral of f, split at the midpoint and the kinks of f'; integrals of f' are
-split at the kinks too.
+for them, unless a gap leaves the float range: then the integral of f runs
+only to raise its error.  A hand-built descriptor gets one integral of f,
+split at the midpoint and the kinks of f'; integrals of f' are split at the
+kinks too.
 
 Two exact integral identities back the bounds and are checkable numerically:
 L1 expresses the signed gap through two weighted integrals of f' and L2
@@ -49,9 +52,11 @@ from .catalog import (
     ConvexityReport,
     FunctionDescriptor,
     Interval,
+    _midpoint,
     check_convexity,
     check_grid_points,
     check_hypothesis,
+    declared_hypothesis,
     finite_gap,
     require_domain,
 )
@@ -121,31 +126,44 @@ class SandwichReport:
     ordered: bool
 
 
+def _at(g, x: float) -> float:
+    """g(x) as a float, under the caller's np.errstate(all="ignore").
+
+    g gets the float x itself, as eval_elementwise gives it; a g that is not
+    float-aware (one that raises TypeError or ValueError) is retried through
+    eval_elementwise's scalar loop.
+    """
+    try:
+        return float(g(x))
+    except (TypeError, ValueError):
+        return float(eval_elementwise(g, x))
+
+
 def _case_values(
     fd: FunctionDescriptor, iv: Interval, tol: float
 ) -> tuple[float, float, float, float | None]:
     """(f(m), mean, d1, d2) over a non-degenerate iv, d1 = mean - f(m) and
-    d2 = (f(a)+f(b))/2 - mean: the one owner of a case's gaps.
+    d2 = (f(a)+f(b))/2 - mean: the one owner of a case's gaps.  Runs under
+    the caller's np.errstate(all="ignore").
 
     A descriptor that declares gaps gives d1 and d2 in closed form, and the
     mean is f(m) + d1.  Otherwise one integral of f, pre-split at the midpoint
     and at the kinks of f', gives the mean, d1 is mean - f(m), and d2 is None:
     the sandwich takes it from f(a) and f(b).  A d1 or mean out of the float
-    range raises OverflowError.  Where a declared gap leaves the range, or
-    the midpoint (a+b)/2 overflows, the integral of f runs first, and its
-    error, which names the node where f left the range, is the one raised.
+    range raises OverflowError.  Where a declared gap leaves the range, the
+    integral of f runs first, and its error, which names the node where f
+    left the range, is the one raised.
     """
-    if fd.gaps is not None and math.isfinite(iv.midpoint):
+    if fd.gaps is not None:
         try:
             d1, d2 = fd.gaps(iv.a, iv.b)
-            f_mid = float(eval_elementwise(fd.eval, iv.midpoint))
+            f_mid = _at(fd.eval, iv.midpoint)
             return f_mid, finite_gap(f_mid + finite_gap(d1)), d1, d2
         except OverflowError:
-            with np.errstate(all="ignore"):  # the nodes of so wide an iv may overflow
-                _integral_mean(fd, iv, tol)
+            _integral_mean(fd, iv, tol)
             raise
     mean = _integral_mean(fd, iv, tol)
-    f_mid = float(eval_elementwise(fd.eval, iv.midpoint))
+    f_mid = _at(fd.eval, iv.midpoint)
     return f_mid, mean, mean - f_mid, None
 
 
@@ -186,12 +204,13 @@ def _graded(g, edges, toward):
 def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> tuple[SandwichReport, float]:
     """The sandwich from values = _case_values(...), and its worst ordering
     violation max(-d1, -d2, 0), which decides ordered; all three values are
-    f(a) when values is None."""
-    fa = float(eval_elementwise(fd.eval, iv.a))
+    f(a) when values is None.  Runs under the caller's np.errstate, and the
+    upper value (f(a)+f(b))/2 is halved first where f(a) + f(b) overflows."""
+    fa = _at(fd.eval, iv.a)
     if values is None:
         return SandwichReport(lower=fa, middle=fa, upper=fa, ordered=True), 0.0
     lower, middle, d1, d2 = values
-    upper = 0.5 * (fa + float(eval_elementwise(fd.eval, iv.b)))
+    upper = _midpoint(fa, _at(fd.eval, iv.b))
     # 0.0 first: max keeps the first of equal values, and -d1 is -0.0 when f is affine
     violation = max(0.0, -d1, -(upper - middle if d2 is None else finite_gap(d2)))
     sandwich = SandwichReport(lower=lower, middle=middle, upper=upper,
@@ -222,13 +241,15 @@ def _report(
     fd: FunctionDescriptor, iv: Interval, q: float, tol: float, grid_points: int
 ) -> tuple[tuple | None, tuple[BoundReport, BoundReport, BoundReport]]:
     """The case values of _case_values (None on a degenerate iv) and the T2,
-    T3 and KO reports, T2's hypothesis at q = 2 and the others' at q.
+    T3 and KO reports, T2's hypothesis at q = 2 and the others' at q.  Runs
+    under the caller's np.errstate(all="ignore").
 
     The domain, tol and grid_points are checked first, before any evaluation.
     The endpoint derivatives and the case values are evaluated once, and the
-    hypothesis once per distinct exponent in {2, q}.  T2's report is complete
-    before q is checked, so an error of T2's bound, of the case values or of
-    the q = 2 hypothesis comes before an invalid q.
+    hypothesis decided once per distinct exponent in {2, q}: a declared one
+    from the two endpoint derivatives, any other by the sampled scan.  T2's
+    report is complete before q is checked, so an error of T2's bound, of the
+    case values or of the q = 2 hypothesis comes before an invalid q.
     """
     require_domain(fd, iv)
     check_tol(tol)
@@ -236,8 +257,7 @@ def _report(
     degenerate = iv.is_degenerate
     da = db = 0.0  # a degenerate interval: zero bounds and gap, f and f' unevaluated
     if not degenerate:
-        da = abs(float(eval_elementwise(fd.deriv, iv.a)))
-        db = abs(float(eval_elementwise(fd.deriv, iv.b)))
+        da, db = abs(_at(fd.deriv, iv.a)), abs(_at(fd.deriv, iv.b))
     # every bound is linear in the width; past the float maximum b - a
     # overflows, and the bound comes from the half-width, doubled
     scale, width = (1.0, iv.width) if math.isfinite(iv.width) else (2.0, 0.5 * iv.b - 0.5 * iv.a)
@@ -245,6 +265,8 @@ def _report(
     def hypothesis(hyp_q: float) -> ConvexityReport:
         if degenerate:
             return TRIVIAL_HYPOTHESIS
+        if fd.convex_deriv_powers:
+            return declared_hypothesis(da, db, hyp_q, iv)
         return check_hypothesis(fd, iv, hyp_q, grid_points=grid_points)
 
     def report(theorem: str, bound: float, hyp_q: float, hyp: ConvexityReport) -> BoundReport:
@@ -274,11 +296,12 @@ def evaluate_case(
     """The T2, T3 and KO reports of one case.
 
     The gap and the endpoint derivatives are evaluated once, and the
-    convexity of |f'|^q is checked once per distinct exponent in {2, q}.
+    convexity of |f'|^q is decided once per distinct exponent in {2, q}.
     The domain, tol and grid_points are checked before any evaluation, and
     an invalid q (not > 1) is reported only after the T2 report succeeds.
     """
-    return _report(fd, iv, q, tol, grid_points)[1]
+    with np.errstate(all="ignore"):
+        return _report(fd, iv, q, tol, grid_points)[1]
 
 
 def verify_case(
@@ -296,8 +319,9 @@ def verify_case(
     the sandwich's ordered.  On a degenerate interval the sandwich's three values
     are f(a), and it is ordered.
     """
-    values, reports = _report(fd, iv, q, tol, grid_points)
-    sandwich, gap = _sandwich(fd, iv, values)
+    with np.errstate(all="ignore"):
+        values, reports = _report(fd, iv, q, tol, grid_points)
+        sandwich, gap = _sandwich(fd, iv, values)
     convexity = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_convexity(fd.eval, iv, grid_points)
     hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
                      hypothesis=convexity, holds=sandwich.ordered)
@@ -348,7 +372,8 @@ def verify_identity(
     if iv.is_degenerate:
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
-    d1 = _case_values(fd, iv, tol)[2]
+    with np.errstate(all="ignore"):
+        d1 = _case_values(fd, iv, tol)[2]
     graded_t = tuple((b - k) / (b - a) for k in _kinks_on(fd, a, b))
     kinks_t = tuple(t for t in graded_t if 0.0 < t < 1.0)
 

@@ -3,10 +3,11 @@
 Each catalog entry packs an evaluator, its exact derivative, the open domain
 on which both are finite, and the points where f' is not smooth.  Every entry
 also declares that |f'|^q is convex on its whole domain for every q >= 1, a
-fact that follows from the form of f' (see _CATALOG), so check_hypothesis
-decides that hypothesis in closed form.  The sampled secant scan,
-check_convexity, serves the hypotheses nothing is declared for (f itself, and
-hand-built descriptors); a clean pass there is evidence, not proof.
+fact that follows from the form of f' (see _CATALOG), so declared_hypothesis
+decides that hypothesis from |f'| at the two endpoints.  The sampled secant
+scan, check_convexity, serves the hypotheses nothing is declared for (f
+itself, and hand-built descriptors); a clean pass there is evidence, not
+proof.
 
 Every entry also declares its signed gaps over [a, b]: the midpoint gap
 mean - f(m) and the trapezoid gap (f(a)+f(b))/2 - mean, where m = (a+b)/2,
@@ -87,7 +88,8 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        """(a+b)/2, also where a + b overflows."""
+        return _midpoint(self.a, self.b)
 
     @property
     def is_degenerate(self) -> bool:
@@ -455,9 +457,13 @@ def _check_scan_args(iv: Interval, grid_points: int) -> None:
     check_grid_points(grid_points)
 
 
+def _not_finite(iv: Interval) -> DomainViolation:
+    return DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
+
+
 def _require_finite(values: np.ndarray, iv: Interval) -> None:
     if not np.all(np.isfinite(values)):
-        raise DomainViolation(f"function not finite everywhere on [{iv.a}, {iv.b}]")
+        raise _not_finite(iv)
 
 
 def check_convexity(
@@ -520,6 +526,24 @@ def require_domain(fd: FunctionDescriptor, iv: Interval) -> None:
         raise DomainViolation(f"[{iv.a}, {iv.b}] is not inside the domain of {fd.label}")
 
 
+def declared_hypothesis(da: float, db: float, q: float, iv: Interval) -> ConvexityReport:
+    """The report of a declared |f'|^q hypothesis on a non-degenerate iv, from
+    the floats da = |f'(a)| and db = |f'(b)|.
+
+    The report is TRIVIAL_HYPOTHESIS once da**q and db**q are finite: a
+    convex non-negative function is largest at an endpoint, so it is then
+    finite on all of iv.  Otherwise it raises DomainViolation; a power past
+    the float range, inf or the OverflowError of a float power, is not finite.
+    """
+    try:
+        finite = math.isfinite(da**q) and math.isfinite(db**q)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise _not_finite(iv)
+    return TRIVIAL_HYPOTHESIS
+
+
 def check_hypothesis(
     fd: FunctionDescriptor,
     iv: Interval,
@@ -529,12 +553,10 @@ def check_hypothesis(
     """Check convexity of |f'|^q on iv, q >= 1.
 
     For a descriptor that declares convex_deriv_powers (every catalog entry)
-    the hypothesis is proven, and the report is TRIVIAL_HYPOTHESIS once
-    |f'|^q is finite at both endpoints: a convex non-negative function is
-    largest at an endpoint, so it is then finite on all of iv.  Otherwise the
-    report is that of check_convexity on a grid_points grid.  Either way the
-    arguments are validated as for the scan, and a |f'|^q that is not finite
-    raises DomainViolation.
+    the hypothesis is proven, and the report is declared_hypothesis's from
+    f' at the endpoints.  Otherwise it is that of check_convexity on a
+    grid_points grid.  Either way the arguments are validated as for the scan,
+    and a |f'|^q that is not finite raises DomainViolation.
     """
     if not (math.isfinite(q) and q >= 1.0):
         raise InvalidExponent(f"hypothesis exponent requires q >= 1, got q={q}")
@@ -546,5 +568,5 @@ def check_hypothesis(
     if not fd.convex_deriv_powers:
         return check_convexity(power_of_deriv, iv, grid_points=grid_points)
     _check_scan_args(iv, grid_points)
-    _require_finite(eval_elementwise(power_of_deriv, np.array([iv.a, iv.b])), iv)
-    return TRIVIAL_HYPOTHESIS
+    da, db = np.abs(eval_elementwise(fd.deriv, np.array([iv.a, iv.b])))
+    return declared_hypothesis(float(da), float(db), q, iv)

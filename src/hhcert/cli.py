@@ -10,22 +10,26 @@ Machine formats emit every number with 17 significant digits and a '.'
 decimal point regardless of locale.  Sweep output is byte-identical across
 runs for a fixed configuration; the RNG algorithm identifier and seed are
 recorded in the output header so sweeps can be reproduced elsewhere.
+
+Every result goes through one writer, _emit.  Each printed value takes one
+formatter call, _fmt for text and CSV and _json_scalar for JSON, whose first
+branch is the float; a table's column-to-key map and the function label are
+resolved once per command, not once per cell or row.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import sampling
 from .bounds import evaluate_case, verify_case, verify_identity
 from .catalog import (
     MAX_CASES,
     NO_VIOLATION,
-    FunctionDescriptor,
     Interval,
     check_grid_points,
     parse_function_id,
@@ -53,39 +57,38 @@ _MEANS_COLUMNS = ("item", "value", "lhs", "rhs", "variant", "holds")
 
 
 def _fmt(v) -> str:
-    """Render one value for text/CSV output; floats get 17 significant digits."""
+    """Render one value for text/CSV output; floats get 17 significant digits,
+    which print nan, inf and -inf as such."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
-    if v is None:
-        return ""
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _json_scalar(v) -> str:
-    """Render one value as JSON: as _fmt, but nan is null and infinities are strings."""
+    """Render one value as JSON: as _fmt, but nan is null and infinities are
+    strings; a str is what json.dumps gives it."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return f"{v:.17g}"
+        return "null" if math.isnan(v) else f'"{v:.17g}"'
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_scalar(x) for x in v) + "]"
-    if v is None or isinstance(v, float) and math.isnan(v):
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    return f'"{_fmt(v)}"' if isinstance(v, float) and math.isinf(v) else _fmt(v)
+    return "null" if v is None else _fmt(v)
 
 
-def _column(rec: dict, name: str):
-    """The value of a CSV/text column; the "hypothesis" column reads hypothesis_verdict."""
-    return rec.get("hypothesis_verdict" if name == "hypothesis" else name)
+def _keyed(columns) -> list[tuple[str, str]]:
+    """(column, record key) for each CSV/text column, resolved once per table;
+    the "hypothesis" column reads hypothesis_verdict."""
+    return [(c, "hypothesis_verdict" if c == "hypothesis" else c) for c in columns]
 
 
-def _line(rec: dict, label: str, columns) -> str:
-    """One text line: rec[label], then name=value for each column."""
-    return "  ".join([f"{rec[label]:2s}", *(f"{c}={_fmt(_column(rec, c))}" for c in columns)])
+def _line(rec: dict, label: str, keyed) -> str:
+    """One text line: rec[label], then name=value for each of keyed = _keyed(columns)."""
+    return "  ".join([f"{rec[label]:2s}", *[f"{c}={_fmt(rec.get(k))}" for c, k in keyed]])
 
 
 def _emit(args, meta: dict, records, columns, headline: str, lines) -> None:
@@ -112,17 +115,18 @@ def _emit(args, meta: dict, records, columns, headline: str, lines) -> None:
             columns = tuple(records[0])
         elif columns == CSV_COLUMNS:
             sys.stdout.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items()) + "\n")
+        keys = [k for _, k in _keyed(columns)]
         sys.stdout.write(",".join(columns) + "\n")
         for rec in records:
-            sys.stdout.write(",".join(_fmt(_column(rec, c)) for c in columns) + "\n")
+            sys.stdout.write(",".join([_fmt(rec.get(k)) for k in keys]) + "\n")
     else:
         sys.stdout.write(headline + "\n" + "".join(f"  {line}\n" for line in lines))
 
 
-def _bound_records(case_id: int, fd: FunctionDescriptor, iv: Interval, reports) -> list[dict]:
+def _bound_records(case_id: int, label: str, iv: Interval, reports) -> list[dict]:
     return [{
         "case_id": case_id,
-        "function": fd.label,
+        "function": label,
         "a": iv.a,
         "b": iv.b,
         "q": report.q,
@@ -136,7 +140,8 @@ def _bound_records(case_id: int, fd: FunctionDescriptor, iv: Interval, reports) 
 
 
 def _bound_lines(records: list[dict]):
-    return (_line(rec, "theorem", _BOUND_TEXT) for rec in records)
+    keyed = _keyed(_BOUND_TEXT)
+    return (_line(rec, "theorem", keyed) for rec in records)
 
 
 def _exit_from_records(records: list[dict]) -> int:
@@ -148,18 +153,19 @@ def _exit_from_records(records: list[dict]) -> int:
 
 def cmd_verify(args) -> int:
     fd = parse_function_id(args.fn)
+    label = fd.label
     iv = Interval(args.interval[0], args.interval[1])
     sandwich, reports = verify_case(fd, iv, args.q, args.tol, args.grid_points)
-    records = _bound_records(0, fd, iv, reports)
+    records = _bound_records(0, label, iv, reports)
     meta = {
         "command": "verify",
-        "function": fd.label,
+        "function": label,
         "interval": [iv.a, iv.b],
         "q": args.q,
         "tol": args.tol,
     }
     headline = (
-        f"verify {fd.label} on [{_fmt(iv.a)}, {_fmt(iv.b)}] q={_fmt(args.q)} "
+        f"verify {label} on [{_fmt(iv.a)}, {_fmt(iv.b)}] q={_fmt(args.q)} "
         f"(sandwich: lower={_fmt(sandwich.lower)} middle={_fmt(sandwich.middle)} "
         f"upper={_fmt(sandwich.upper)} ordered={_fmt(sandwich.ordered)})"
     )
@@ -178,23 +184,24 @@ def cmd_sweep(args) -> int:
     sampling_range(lo, hi, fd.domain)
     check_tol(args.tol)
     check_grid_points(args.grid_points)
+    label = fd.label
     rng = SplitMix64(args.seed)
     records: list[dict] = []
     for case_id in range(args.cases):
         iv = draw_interval(rng, lo, hi, fd.domain)
         records += _bound_records(
-            case_id, fd, iv, evaluate_case(fd, iv, args.q, args.tol, args.grid_points))
+            case_id, label, iv, evaluate_case(fd, iv, args.q, args.tol, args.grid_points))
     meta = {
         "command": "sweep",
         "rng": sampling.ALGORITHM,
         "seed": args.seed,
-        "function": fd.label,
+        "function": label,
         "cases": args.cases,
         "q": args.q,
         "interval_range": [lo, hi],
         "tol": args.tol,
     }
-    headline = f"sweep {fd.label} cases={args.cases} seed={args.seed} rng={sampling.ALGORITHM}"
+    headline = f"sweep {label} cases={args.cases} seed={args.seed} rng={sampling.ALGORITHM}"
     _emit(args, meta, records, CSV_COLUMNS, headline, _bound_lines(records))
     return _exit_from_records(records)
 
@@ -276,9 +283,10 @@ def cmd_means(args) -> int:
         "q": args.q,
         "variant": args.variant,
     }
+    keyed = _keyed(("lhs", "rhs", "variant", "holds"))
     lines = (
         f"{rec['item']:<6s} {_fmt(rec['value'])}" if "value" in rec
-        else _line(rec, "item", ("lhs", "rhs", "variant", "holds"))
+        else _line(rec, "item", keyed)
         for rec in records
     )
     _emit(args, meta, records, _MEANS_COLUMNS, f"means a={_fmt(mp.a)} b={_fmt(mp.b)}", lines)

@@ -438,27 +438,57 @@ class TestKirmaciOzdemir:
 
 
 class TestEvaluateCase:
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_a_catalog_case_evaluates_f_once_and_f_prime_twice(self, monkeypatch, q):
+        # the declared hypotheses read |f'(a)| and |f'(b)|, the declared gaps
+        # f(m) alone: no scan, no integral, and no further point of f or f'
+        points, integrals = [], []
+        real_1d = bounds.integrate_1d
+
+        def spied(name, g):
+            def counting(x):
+                points.append((name, x))
+                return g(x)
+            return counting
+
+        def counting_1d(*args, **kwargs):
+            integrals.append(args)
+            return real_1d(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "integrate_1d", counting_1d)
+        monkeypatch.setattr(bounds, "check_hypothesis", None)  # never called
+        fd = parse_function_id("pow:3")
+        fd = dataclasses.replace(fd, eval=spied("f", fd.eval), deriv=spied("df", fd.deriv))
+        evaluate_case(fd, Interval(0.5, 2.0), q, grid_points=33)
+        assert sorted(points) == [("df", 0.5), ("df", 2.0), ("f", 1.25)]
+        assert integrals == []
+
     @pytest.mark.parametrize("q,scans", [(2.0, [2.0]), (3.0, [2.0, 3.0])])
-    @pytest.mark.parametrize("declared,integrals", [(True, 0), (False, 1)])
-    def test_one_gap_and_one_scan_per_exponent(self, monkeypatch, q, scans, declared, integrals):
-        # catalog gaps are declared; a hand-built descriptor integrates f once
-        hyp_qs, gaps = [], []
-        real_hyp, real_1d = bounds.check_hypothesis, bounds.integrate_1d
+    def test_undeclared_hypotheses_scan_once_per_exponent(self, monkeypatch, q, scans):
+        hyp_qs = []
+        real_hyp = bounds.check_hypothesis
 
         def counting_hyp(fd, iv, hyp_q, **kwargs):
             hyp_qs.append(hyp_q)
             return real_hyp(fd, iv, hyp_q, **kwargs)
 
-        def counting_1d(*args, **kwargs):
-            gaps.append(args)
-            return real_1d(*args, **kwargs)
-
         monkeypatch.setattr(bounds, "check_hypothesis", counting_hyp)
-        monkeypatch.setattr(bounds, "integrate_1d", counting_1d)
-        fd = parse_function_id("pow:3") if declared else _hand_built("pow:3")
+        fd = dataclasses.replace(parse_function_id("pow:3"), convex_deriv_powers=False)
         evaluate_case(fd, _UNIT, q, grid_points=33)
         assert hyp_qs == scans
-        assert len(gaps) == integrals
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_undeclared_gaps_integrate_f_once(self, monkeypatch, q):
+        integrals = []
+        real_1d = bounds.integrate_1d
+
+        def counting_1d(*args, **kwargs):
+            integrals.append(args)
+            return real_1d(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "integrate_1d", counting_1d)
+        evaluate_case(_hand_built("pow:3"), _UNIT, q, grid_points=33)
+        assert len(integrals) == 1
 
     @pytest.mark.parametrize(
         "label,a,b",

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hhcert import bounds, catalog, cli
@@ -27,7 +28,52 @@ def _run(capsys, argv):
     return code, out
 
 
+def _reference_fmt(v) -> str:
+    """The branch-per-case text/CSV formatter the one-branch cli._fmt replaced."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.17g}"
+    if v is None:
+        return ""
+    return str(v)
+
+
+def _reference_json_scalar(v) -> str:
+    """The json.dumps-based JSON formatter cli._json_scalar replaced."""
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_reference_json_scalar(x) for x in v) + "]"
+    if v is None or isinstance(v, float) and math.isnan(v):
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    return f'"{_reference_fmt(v)}"' if isinstance(v, float) and math.isinf(v) else _reference_fmt(v)
+
+
+_WRITER_VALUES = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    sys.float_info.max, sys.float_info.min, 1.0 / 3.0, 2.0, 1e22, 1e-7,
+    np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0), np.float64(0.1),
+    True, False, 0, -7, 2**70, None,
+    "", "T2", 'say "hi"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f", "π ≈ 3.14", "é𝄞",
+]
+
+
 class TestFormatting:
+    @pytest.mark.parametrize("v", _WRITER_VALUES, ids=repr)
+    def test_writers_match_their_reference(self, v):
+        assert cli._fmt(v) == _reference_fmt(v)
+        assert cli._json_scalar(v) == _reference_json_scalar(v)
+
+    def test_json_lists_match_their_reference(self):
+        for v in ([], [1.0, math.inf], (math.nan, -0.0), [np.float64(5e-324), "q\"", None, True],
+                  [[1, 2.5], []]):
+            assert cli._json_scalar(v) == _reference_json_scalar(v)
+
     def test_float_rendering(self):
         assert cli._fmt(1.0 / 3.0) == "0.33333333333333331"
         assert cli._fmt(2.0) == "2"
@@ -552,20 +598,19 @@ def test_error_order(capsys, argv, err):
 
 _NEG_1E308, _NEG_17E308 = f"{-1e308:.1f}", f"{-1.7e308:.1f}"  # argparse takes -1e308 for an option
 
-# Inputs past the float range keep the error the integral of f reports: a
-# midpoint (a+b)/2 that overflows is no breakpoint, and exp past x = 709.78 is
-# not finite at a node.  The declared gaps read neither, and never hang.
+# Inputs past the float range keep the error the integral of f reports: the
+# gaps of abs_pow:2.5 near the float maximum, where a + b overflows but the
+# midpoint is halved first, and exp past x = 709.78 are not finite at a node.
+# The declared gaps never hang.
 _RANGE_ERRORS = [
     (["verify", "--fn", "abs_pow:2.5", "--interval", "1e308", "1.7e308"],
-     "error: breakpoint inf outside [1e+308, 1.7e+308]"),
+     "error: integrand not finite at x=1.0014953100538579e+308"),
     (["verify", "--fn", "abs_pow:2.5", "--interval", _NEG_17E308, _NEG_1E308],
-     "error: breakpoint -inf outside [-1.7e+308, -1e+308]"),
-    (["verify", "--fn", "pow:-2", "--interval", "1e308", "1.7e308"],
-     "error: breakpoint inf outside [1e+308, 1.7e+308]"),
+     "error: integrand not finite at x=-1.698504689946142e+308"),
     (["sweep", "--fn", "abs_pow:2.5", "--cases", "2", "--interval-range", "1e308", "1.7e308"],
-     "error: breakpoint inf outside [1.302069597933957e+308, 1.6183175657495497e+308]"),
+     "error: integrand not finite at x=1.3027451533136525e+308"),
     (["sweep", "--fn", "abs_pow:2.5", "--cases", "2", "--interval-range", _NEG_17E308, _NEG_1E308],
-     "error: breakpoint -inf outside [-1.397930402066043e+308, -1.0816824342504502e+308]"),
+     "error: integrand not finite at x=-1.3972548466863474e+308"),
     (["verify", "--fn", "exp", "--interval", "710", "711"],
      "error: integrand not finite at x=710.0021361572198"),
     (["verify", "--fn", "exp", "--interval", "-800", "800"],
@@ -580,6 +625,39 @@ def test_range_errors_keep_the_integral_message(capsys, argv, err):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err + "\n")
+
+
+@pytest.mark.parametrize("lo,hi", [("1e308", "1.7e308"), (_NEG_17E308, _NEG_1E308)],
+                         ids=["positive", "negative"])
+def test_an_overflowing_a_plus_b_is_no_error(capsys, lo, hi):
+    # a + b overflows, but the midpoint (a+b)/2 and the sandwich's
+    # (f(a)+f(b))/2 are halved first: pow:1's gaps are 0 and its bounds finite
+    assert cli.main(["verify", "--fn", "pow:1", "--interval", lo, hi, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = json.loads(captured.out)["records"]
+    assert [r["theorem"] for r in records] == ["T2", "T3", "KO", "HH"]
+    assert all(r["holds"] and r["gap"] == 0 for r in records)
+    assert records[0]["bound"] == 2.8577380332470413e+307
+    assert cli.main(["verify", "--fn", "pow:1", "--interval", lo, hi]) == 0
+    m = "-1.35e+308" if lo.startswith("-") else "1.35e+308"
+    assert f"lower={m} middle={m} upper={m} ordered=true" in capsys.readouterr().out
+    assert cli.main(["sweep", "--fn", "pow:1", "--cases", "3", "--interval-range", lo, hi,
+                     "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)["records"]
+    assert captured.err == "" and len(records) == 9
+    assert all(r["holds"] and r["gap"] == 0 and 0.0 < r["bound"] < math.inf for r in records)
+
+
+def test_an_underflowing_power_near_the_float_maximum_is_no_error(capsys):
+    # x^-2 over [1e308, 1.7e308] underflows to 0 at every point, gaps included
+    assert cli.main(["verify", "--fn", "pow:-2", "--interval", "1e308", "1.7e308",
+                     "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [(r["gap"], r["bound"], r["holds"]) for r in json.loads(captured.out)["records"]] == [
+        (0, 0, True), (0, 0, True), (0, 0, True), (0, 1e-10, True)]
 
 
 def test_verify_over_an_interval_wider_than_the_float_maximum(capsys):
