@@ -12,18 +12,21 @@ alone, each valid when |f'|^q is convex on [a, b] for its exponent:
              * ((|f'(a)|^q + |f'(b)|^q) / 2)^(1/q),   1/p + 1/q = 1  (q > 1)
     KO:  (3^(1-1/q) / 8) * (b-a) * (|f'(a)| + |f'(b)|)               (q > 1)
 
-T3 at q = 2 coincides with T2.  A case is evaluated whole: evaluate_case
-gives its T2, T3 and KO reports, and verify_case adds the Hermite-Hadamard
-sandwich f(m) <= mean <= (f(a)+f(b))/2 and its HH report, whose hypothesis
-(f convex) is always sampled.  Both share one private evaluator, which reads
-the gap and the endpoint derivatives once and decides each report's
-hypothesis once per distinct exponent: from those two derivatives, by
-catalog.declared_hypothesis, for catalog functions, and by the sampled scan
-of catalog.check_hypothesis for hand-built descriptors.  A bound is reported
-even when its hypothesis fails, since the gap/bound comparison is still
-informative.  A case evaluates f and f' at single points as plain floats,
-g(x) under one np.errstate per case; node arrays, of an integral or a scan,
-go through eval_elementwise.
+T3 at q = 2 coincides with T2.  _t2_bound and _t3_bound, which evaluate T2
+and T3 from (b-a, |f'(a)|, |f'(b)|, q), are the one evaluator of both: the
+special-means propositions of means read them too.  Their power mean factors
+out max(|f'(a)|, |f'(b)|) where a power would leave the float range.  A case
+is evaluated whole: evaluate_case gives its T2, T3 and KO reports, and
+verify_case adds the Hermite-Hadamard sandwich f(m) <= mean <= (f(a)+f(b))/2
+and its HH report, whose hypothesis (f convex) is always sampled.  Both
+share one private evaluator, which reads the gap and the endpoint
+derivatives once and decides each report's hypothesis once per distinct
+exponent: from those two derivatives, by catalog.declared_hypothesis, for
+catalog functions, and by the sampled scan of catalog.check_hypothesis for
+hand-built descriptors.  A bound is reported even when its hypothesis fails,
+since the gap/bound comparison is still informative.  A case evaluates f and
+f' at single points as plain floats, g(x) under one np.errstate per case;
+node arrays, of an integral or a scan, go through eval_elementwise.
 
 _case_values owns a case's f(m) and its signed gaps d1 = mean - f(m) and
 d2 = (f(a)+f(b))/2 - mean, which every gap, sandwich and identity reads.
@@ -227,14 +230,29 @@ def _ratio(gap: float, bound: float) -> float:
 def _power_mean(da: float, db: float, q: float, root) -> float:
     """root(0.5 * (da**q + db**q)), root being the q-th root.
 
-    When the sum overflows, or falls below the normal range, although
-    max(da, db) is positive and finite, max(da, db) is factored out first;
-    every other sum keeps the direct form's bits.
+    Where a power overflows (a float ** raises OverflowError) or the sum
+    leaves the normal range, although max(da, db) is positive and finite,
+    max(da, db) is factored out first; every other sum keeps its bits.
     """
-    total, m = da**q + db**q, max(da, db)
+    m = max(da, db)
+    try:
+        total = da**q + db**q
+    except OverflowError:
+        total = math.inf
     if not (sys.float_info.min <= total < math.inf) and 0.0 < m < math.inf:
         return m * root(0.5 * ((da / m) ** q + (db / m) ** q))
     return root(0.5 * total)
+
+
+def _t2_bound(width: float, da: float, db: float) -> float:
+    """T2's bound from the width and the endpoint derivative magnitudes."""
+    return width / math.sqrt(6.0) * _power_mean(da, db, 2, math.sqrt)
+
+
+def _t3_bound(width: float, da: float, db: float, q: float) -> float:
+    """T3's bound from the width and the endpoint derivative magnitudes; an
+    invalid q raises theorem3_constant's error, also on a zero width."""
+    return width * theorem3_constant(q) * _power_mean(da, db, q, lambda s: s ** (1.0 / q))
 
 
 def _report(
@@ -273,14 +291,12 @@ def _report(
         return BoundReport(gap=gap, bound=bound, ratio=_ratio(gap, bound), theorem=theorem,
                            q=hyp_q, hypothesis=hyp, holds=gap <= bound + HOLDS_SLACK)
 
-    t2_bound = scale * (width / math.sqrt(6.0) * _power_mean(da, db, 2, math.sqrt))
+    t2_bound = scale * _t2_bound(width, da, db)
     values = None if degenerate else _case_values(fd, iv, tol)
     gap = 0.0 if values is None else abs(values[2])
     hyp_2 = hypothesis(2.0)
     t2 = report("T2", t2_bound, 2.0, hyp_2)
-    # theorem3_constant checks q, so T3's bound is 0.0 on a zero width only for a valid q
-    t3_bound = scale * (width * theorem3_constant(q)
-                        * _power_mean(da, db, q, lambda s: s ** (1.0 / q)))
+    t3_bound = scale * _t3_bound(width, da, db, q)
     hyp_q = hyp_2 if q == 2.0 else hypothesis(q)
     ko_bound = scale * (3.0 ** (1.0 - 1.0 / q) / 8.0 * width * (da + db))
     return values, (t2, report("T3", t3_bound, q, hyp_q), report("KO", ko_bound, q, hyp_q))

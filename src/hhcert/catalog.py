@@ -403,7 +403,7 @@ _CATALOG: dict[str, Callable[[Sequence[float]], FunctionDescriptor]] = {
     "ln": _make_simple(  # x^(-q) on x > 0
         "ln", np.log, lambda x: 1.0 / x, _POSITIVE, _ln_gaps),
     "recip": _make_simple(  # x^(-2q) on x > 0
-        "recip", lambda x: 1.0 / x, lambda x: -1.0 / x**2, _POSITIVE, _recip_gaps),
+        "recip", lambda x: 1.0 / x, lambda x: -1.0 / (x * x), _POSITIVE, _recip_gaps),
     "neg_ln": _make_simple(  # x^(-q) on x > 0
         "neg_ln", lambda x: -np.log(x), lambda x: -1.0 / x, _POSITIVE, _neg_ln_gaps),
     "abs_pow": _make_abs_pow,  # see _make_abs_pow

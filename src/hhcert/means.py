@@ -10,13 +10,17 @@ four propositions comparing combinations of these means:
     P3:  a log-ratio of I and A       vs  a power-mean rhs          (needs q)
     P4:  |A(a,b)^-1 - L(a,b)^-1|      vs  a power-mean rhs          (needs q)
 
+Each rhs is a bound of the one T2/T3 evaluator in bounds: P1's is T2's bound
+of x^n, and P2's, P3's and P4's are T3's bounds of x^n, ln and 1/x.
+
 P1 and P3 each exist in two variants.  P1 as-printed applies no square root
 to the mean of squared endpoint derivatives; as-derived applies the square
 root that the quadratic-mean bound actually produces.  The as-printed form
 is NOT a consequence of that bound and fails for some admissible pairs
-(for example a=3, b=6, n=-1); it is evaluated so the discrepancy stays
-observable.  P3 as-printed uses the signed lhs ln(I/A), which is never
-positive and makes the inequality vacuous; as-derived uses |ln(A/I)|.
+(for example a=3, b=6, n=-1); it is evaluated, by its own formula, so the
+discrepancy stays observable.  P3 as-printed uses the signed lhs ln(I/A),
+which is never positive and makes the inequality vacuous; as-derived uses
+|ln(A/I)|.
 
 Each lhs is a signed gap of a catalog function over [a, b], declared in
 closed form (see catalog): the midpoint gap mean - f(m) of x^n (P1), of ln
@@ -25,13 +29,10 @@ closed form (see catalog): the midpoint gap mean - f(m) of x^n (P1), of ln
 
 from __future__ import annotations
 
-import decimal
 import math
-import sys
 from dataclasses import dataclass
-from decimal import Decimal
 
-from .bounds import HOLDS_SLACK, theorem3_constant
+from .bounds import HOLDS_SLACK, _t2_bound, _t3_bound
 from .catalog import finite_gap, lookup_function
 from .errors import InvalidExponent, InvalidParameter, range_error
 
@@ -124,10 +125,6 @@ def mean_p_logarithmic(mp: MeanPair, p: float) -> float:
     return ((b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))) ** (1.0 / p)
 
 
-def _avg(x, y):
-    return (x + y) / 2
-
-
 def _gap(name: str, params: tuple, a: float, b: float, which: int) -> float:
     """The signed midpoint (which=0) or trapezoid (which=1) gap of a catalog
     function; inf or nan where it leaves the float range."""
@@ -153,63 +150,54 @@ def _require_q(q) -> float:
     return float(q)
 
 
-def _power_mean(x, y, k: int, q):
-    """The power mean A(x^(kq), y^(kq))^(1/q), directly."""
-    return _avg(x ** (k * q), y ** (k * q)) ** (1 / q)
+def _power(x: float, k: int) -> tuple[float, int]:
+    """(r, s) with x**k = r * 2**s and r in [0.5, 1), for a float x > 0 and an integer k.
 
-
-def _scaled_power_mean(x, y, k: int, q):
-    """_power_mean with the base of the larger power, w, factored out:
-    w^k A((x/w)^(kq), (y/w)^(kq))^(1/q).  Neither power exceeds 1 and one is
-    1, so for any q neither overflows, and their mean is at least 1/2."""
-    w = max(x, y) if k > 0 else min(x, y)
-    return w**k * _avg((x / w) ** (k * q), (y / w) ** (k * q)) ** (1 / q)
-
-
-def _direct_rhs(prop: str, a, b, n, q, norm, variant: str, sqrt=math.sqrt, pmean=_power_mean):
-    """The rhs of prop, in floats or, given Decimal a, b, q and norm, in Decimals."""
-    width = b - a
-    if prop == "P1":
-        base = _avg(a ** (2 * (n - 1)), b ** (2 * (n - 1)))
-        if variant == "as-derived":
-            base = sqrt(base)
-        return abs(n) * width / sqrt(6.0) * base
-    if prop == "P2":
-        return abs(n) * width * norm * pmean(a, b, n - 1, q)
-    if prop == "P3":
-        return width / (a * b) * norm * pmean(b, a, 1, q)
-    return width / (a * b) ** 2 * norm * pmean(a, b, 2, q)
-
-
-# Wide enough that no power of a float pair leaves the exponent range; any
-# that still would gives an infinity or NaN instead of raising.
-_WIDE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
-
-
-def _rhs(prop: str, a: float, b: float, n, q, norm, variant: str) -> float:
-    """The rhs of prop at a < b, in its direct form wherever that is a normal float.
-
-    Where the direct form underflows (a**(2q) is 0 at a = 1e-60, q = 3),
-    overflows or divides by an underflowed (a*b)**2, the formula is evaluated
-    in 40-digit decimals, whose exponent range holds every power of a float
-    pair, and rounded once; there each power mean of P2-P4 factors out the
-    base of its larger power, so a q as large as 1e300 stays in range.  A
-    rhs beyond the float range, too large for a float or too small for any
-    but 0, raises the range error a float power raises.
+    x = m * 2**e with m in [sqrt(1/2), sqrt(2)), so x**k = m**k * 2**(e*k)
+    with an exact integer e*k, and |log2 m**k| <= |k|/2.  m**k is a product
+    of at most five libm powers m**j, none beyond 2**±1000, so r carries one
+    rounding per power.  Past 2**±4000, m**k puts x**k at least as far out,
+    where a rhs leaves the float range or does not feel it: r is then 1/2.
     """
+    m, e = math.frexp(x)
+    if m < math.sqrt(0.5):
+        m, e = 2.0 * m, e - 1
+    bits = k * math.log2(m)
+    if abs(bits) > 4000.0:
+        return 0.5, e * k + round(bits)
+    r, s, pieces = 1.0, e * k, 1 + int(abs(bits) // 1000.0)
+    for i in range(pieces):
+        r, t = math.frexp(r * m ** ((i + 1) * k // pieces - i * k // pieces))
+        s += t
+    return r, s
+
+
+def _rhs(prop: str, a: float, b: float, n, q, variant: str) -> float:
+    """The rhs of prop at a < b: T2 (P1) or T3 (P2-P4) at |f'| = c x^k, or
+    P1 as-printed's |n| (b-a)/sqrt(6) A(a^(2(n-1)), b^(2(n-1))).
+
+    The bound is fed the width and the endpoint powers, each scaled by an
+    exact power of two (the larger power into [0.5, 1)), and is scaled back
+    once, so nothing leaves the float range unless the rhs does: a rhs too
+    large for a float, or too small for any but 0, raises the range error.
+    """
+    c, k = (abs(n), n - 1) if prop in ("P1", "P2") else (1, -1 if prop == "P3" else -2)
+    printed = prop == "P1" and variant == "as-printed"
+    (ra, sa), (rb, sb) = (_power(x, 2 * k if printed else k) for x in (a, b))
+    top = max(sa, sb)
+    da, db = math.ldexp(ra, sa - top), math.ldexp(rb, sb - top)
+    width, shift = math.frexp(b - a)
+    if printed:
+        rhs = c * width / math.sqrt(6.0) * ((da + db) / 2)
+    elif prop == "P1":
+        rhs = _t2_bound(width, c * da, c * db)
+    else:
+        rhs = _t3_bound(width, c * da, c * db, q)
     try:
-        rhs = _direct_rhs(prop, a, b, n, q, norm, variant)
-    except (ZeroDivisionError, OverflowError):
-        rhs = math.nan
-    if sys.float_info.min <= rhs < math.inf:
-        return rhs
-    with decimal.localcontext(_WIDE):
-        rhs = float(_direct_rhs(
-            prop, Decimal(a), Decimal(b), n, None if q is None else Decimal(q),
-            None if norm is None else Decimal(norm), variant, sqrt=lambda x: Decimal(x).sqrt(),
-            pmean=_scaled_power_mean,
-        ))
-    if not 0.0 < rhs < math.inf:
+        rhs = math.ldexp(rhs, shift + top)
+    except OverflowError:
+        rhs = 0.0
+    if rhs == 0.0:
         raise range_error()
     return rhs
 
@@ -236,25 +224,20 @@ def check_proposition(
         return PropositionReport(prop, 0.0, 0.0, True, variant)
 
     a, b = mp.a, mp.b
-    norm = None
     if prop == "P1":
         n = _require_n(n)
         lhs = abs(_gap("pow", (n,), a, b, 0))
     elif prop == "P2":
-        n = _require_n(n)
-        q = _require_q(q)
-        norm = theorem3_constant(q)
+        n, q = _require_n(n), _require_q(q)
         lhs = abs(_gap("pow", (n,), a, b, 1))
     elif prop == "P3":
         q = _require_q(q)
-        norm = theorem3_constant(q)
         lhs = _gap("ln", (), a, b, 0)
         if variant == "as-derived":
             lhs = abs(lhs)
     else:  # P4
         q = _require_q(q)
-        norm = theorem3_constant(q)
         lhs = abs(_gap("recip", (), a, b, 0))
-    rhs = _rhs(prop, a, b, n, q, norm, variant)
+    rhs = _rhs(prop, a, b, n, q, variant)
     lhs = finite_gap(lhs)  # after the rhs, whose range errors come first
     return PropositionReport(prop, lhs, rhs, lhs <= rhs + HOLDS_SLACK, variant)

@@ -570,7 +570,8 @@ def test_arithmetic_error_exits_2_without_traceback(argv):
 
 # The first error in evaluation order wins: the domain, then T2 (its scan's
 # grid check), then T3 (its conjugate exponent, also on a degenerate
-# interval, then the overflow of |f'|^q in its bound), before any output.
+# interval, then its declared hypothesis, a |f'|^q past the float range),
+# before any output.
 _ERROR_ORDER = [
     (["verify", "--fn", "ln", "--interval", "-1", "1", "--q", "0.5"],
      "error: [-1.0, 1.0] is not inside the domain of ln"),
@@ -581,7 +582,7 @@ _ERROR_ORDER = [
     (["verify", "--fn", "exp", "--interval", "1", "1", "--q", "1"],
      "error: conjugate_of requires q > 1, got q=1.0"),
     (["verify", "--fn", "exp", "--interval", "230", "240", "--q", "3"],
-     "error: (34, 'Numerical result out of range')"),
+     "error: function not finite everywhere on [230.0, 240.0]"),
     (["verify", "--fn", "exp", "--interval", "0", "1", "--grid-points", "2050"],
      "error: grid_points must be <= 2049, got 2050"),
     (["sweep", "--fn", "exp", "--cases", "1", "--q", "0.5"],
@@ -692,7 +693,9 @@ def test_hh_gap_of_an_affine_function_is_zero_not_minus_zero(capsys, fmt, hh_row
 
 
 # x^n's exact gaps would need integers of about |n| x 53 bits here (minutes and
-# hundreds of MB at n = 10^7); past a fixed size they are summed in floats
+# hundreds of MB at n = 10^7); past a fixed size they are summed in floats.
+# recip's f' = -1/x^2 at x past 1.34e154 underflows to -0.0 (a float x**2
+# raised OverflowError there), as pow:-1's does.
 @pytest.mark.parametrize("argv,code", [
     (["verify", "--fn", "pow:1000000", "--interval", "0.5", "0.9"], 0),
     (["verify", "--fn", "pow:-1000000", "--interval", "1.0", "1.0001"], 0),
@@ -700,6 +703,8 @@ def test_hh_gap_of_an_affine_function_is_zero_not_minus_zero(capsys, fmt, hh_row
     (["means", "--a", "1.0", "--b", "1.0001", "--n", "1000000"], 0),
     (["means", "--a", "1.1", "--b", "1.3", "--n", "10000000"], 2),
     (["means", "--a", "1.1", "--b", "1.3", "--n", "-10000000"], 2),
+    (["verify", "--fn", "recip", "--interval", "1e200", "1e201"], 0),
+    (["sweep", "--fn", "recip", "--interval-range", "1e150", "1e160"], 0),
 ])
 def test_large_exponents_take_no_time(capsys, argv, code):
     start = time.perf_counter()

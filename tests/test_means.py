@@ -1,6 +1,9 @@
 """Special means and the four derived mean-comparison propositions."""
 
 import math
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,6 +208,13 @@ class TestConsistencyWithBounds:
         assert rep.lhs == pytest.approx(t2.gap, abs=1e-8)
         assert rep.rhs == pytest.approx(t2.bound, rel=1e-12)
 
+    @pytest.mark.parametrize("a,b,n,q", [(1.0, 2.0, 3, 2.0), (0.5, 1.5, 2, 3.0), (1.0, 4.0, -2, 1.5)])
+    def test_p2_matches_power_bound(self, a, b, n, q):
+        # P2's lhs is the trapezoid gap of x^n, its rhs T3's bound of x^n
+        rep = check_proposition("P2", MeanPair(a, b), n=n, q=q)
+        _, t3, _ = evaluate_case(parse_function_id(f"pow:{n}"), Interval(a, b), q, grid_points=33)
+        assert rep.rhs == pytest.approx(t3.bound, rel=1e-12)
+
     @pytest.mark.parametrize("a,b,q", [(1.0, 2.0, 2.0), (0.4, 1.1, 3.0)])
     def test_p3_derived_matches_neg_ln_bound(self, a, b, q):
         rep = check_proposition("P3", MeanPair(a, b), q=q, variant="as-derived")
@@ -292,6 +302,66 @@ def test_rhs_of_a_pair_across_the_float_range():
         rep = check_proposition(prop, mp, n=2, q=2.0)
         ref = _rhs_reference(prop, 1e-100, 1e100, 2, 2.0)
         assert rep.rhs == pytest.approx(ref, rel=1e-14, abs=0.0), prop
+
+
+# The direct float form passed through subnormal powers such as (a*b)**2 and
+# printed P1 7.4 % low and P4 1.2 % high; only its final rhs was range-checked.
+@pytest.mark.parametrize("prop,a,b,n,q", [
+    ("P1", 5.42693557376356e+80, 2.2643927232936233e+218, -1, 2.0),
+    ("P4", 1e-82, 1e-79, 2, 1.5),
+])
+def test_rhs_through_subnormal_powers_matches_a_50_digit_reference(prop, a, b, n, q):
+    rep = check_proposition(prop, MeanPair(a, b), n=n, q=q)
+    assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, n, q), rel=1e-14, abs=0.0)
+
+
+def test_rhs_of_an_endpoint_power_beyond_one_libm_power():
+    # a^(n-1) is about 2^-1045, subnormal as one libm power of a's
+    # mantissa; the rhs, about 3.7e-307, is not
+    a, b, n = 1.0 + 2.0**-20, 2.0, -760000000
+    for prop in ("P1", "P2"):
+        rep = check_proposition(prop, MeanPair(a, b), n=n, q=2.0)
+        assert rep.rhs == pytest.approx(_rhs_reference(prop, a, b, n, 2.0), rel=1e-14, abs=0.0), prop
+
+
+def test_seeded_rhs_lie_within_256_ulps_of_a_50_digit_reference():
+    # pairs across the float range, near-equal (a few ulps or a relative
+    # 1e-15 apart) and far apart, with large |n| and q up to 1e3
+    rng = random.Random(2727)
+    checked = 0
+    for _ in range(2000):
+        a = 10.0 ** rng.uniform(-300, 300) if rng.random() < 0.5 else rng.uniform(0.01, 100.0)
+        u = rng.random()
+        if u < 0.3:
+            b = a + rng.choice((1, 3, 100, 10000)) * math.ulp(a)
+        elif u < 0.7:
+            b = a * (1.0 + 10.0 ** rng.uniform(-15, 1))
+        else:
+            b = 10.0 ** rng.uniform(-300, 300)
+        a, b = min(a, b), max(a, b)
+        n = rng.choice((1, 2, 3, 5, 100, 1000, 100000, 1000000)) * rng.choice((1, -1))
+        q = rng.choice((1.5, 2.0, 3.0, 7.0, 1e3))
+        for prop in ("P1", "P2", "P3", "P4"):
+            try:
+                rhs = check_proposition(prop, MeanPair(a, b), n=n, q=q).rhs
+            except OverflowError:  # a rhs or lhs past the float range
+                continue
+            ref = _rhs_reference(prop, a, b, n, q)
+            assert abs(rhs - ref) <= 256 * math.ulp(ref), (prop, a, b, n, q, rhs, ref)
+            checked += 1
+    assert checked > 4000  # of the 8000 calls
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    # means' rhs is evaluated in floats alone, even where it once fell back
+    # to 40-digit decimals (a pair near 1e-160)
+    probe = ("import contextlib, io, sys\n"
+             "import hhcert.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['means', '--a', '1e-160', '--b', '2e-160', '--n', '-1']) == 0\n"
+             "print('decimal' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_cli_rhs_beyond_the_float_range_exits_2(capsys):
