@@ -25,8 +25,10 @@ exponent: from those two derivatives, by catalog.declared_hypothesis, for
 catalog functions, and by the sampled scan of catalog.check_hypothesis for
 hand-built descriptors.  A bound is reported even when its hypothesis fails,
 since the gap/bound comparison is still informative.  A case evaluates f and
-f' at single points as plain floats, g(x) under one np.errstate per case;
-node arrays, of an integral or a scan, go through eval_elementwise.
+f' at single points as plain floats: a catalog function in math, so that
+evaluate_case loads no numpy, and a hand-built one through eval_elementwise,
+which silences numpy's warnings; node arrays, of an integral or a scan, go
+through eval_elementwise too.
 
 _case_values owns a case's f(m) and its signed gaps d1 = mean - f(m) and
 d2 = (f(a)+f(b))/2 - mean, which every gap, sandwich and identity reads.
@@ -46,8 +48,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._ufunc import eval_elementwise
 from .catalog import (
@@ -130,24 +130,24 @@ class SandwichReport:
 
 
 def _at(g, x: float) -> float:
-    """g(x) as a float, under the caller's np.errstate(all="ignore").
+    """g(x) as a float.
 
-    g gets the float x itself, as eval_elementwise gives it; a g that is not
-    float-aware (one that raises TypeError or ValueError) is retried through
-    eval_elementwise's scalar loop.
+    A catalog f or f' (a _ufunc.pointwise formula, g.float_path) computes it
+    in math, with no numpy.  Any other g goes through eval_elementwise, which
+    imports numpy and silences its warnings: g gets the float x itself, and a
+    g that is not float-aware (one that raises TypeError or ValueError) is
+    retried by its scalar loop.
     """
-    try:
-        return float(g(x))
-    except (TypeError, ValueError):
-        return float(eval_elementwise(g, x))
+    if getattr(g, "float_path", False):
+        return g(x)
+    return float(eval_elementwise(g, x))
 
 
 def _case_values(
     fd: FunctionDescriptor, iv: Interval, tol: float
 ) -> tuple[float, float, float, float | None]:
     """(f(m), mean, d1, d2) over a non-degenerate iv, d1 = mean - f(m) and
-    d2 = (f(a)+f(b))/2 - mean: the one owner of a case's gaps.  Runs under
-    the caller's np.errstate(all="ignore").
+    d2 = (f(a)+f(b))/2 - mean: the one owner of a case's gaps.
 
     A descriptor that declares gaps gives d1 and d2 in closed form, and the
     mean is f(m) + d1.  Otherwise one integral of f, pre-split at the midpoint
@@ -207,8 +207,8 @@ def _graded(g, edges, toward):
 def _sandwich(fd: FunctionDescriptor, iv: Interval, values) -> tuple[SandwichReport, float]:
     """The sandwich from values = _case_values(...), and its worst ordering
     violation max(-d1, -d2, 0), which decides ordered; all three values are
-    f(a) when values is None.  Runs under the caller's np.errstate, and the
-    upper value (f(a)+f(b))/2 is halved first where f(a) + f(b) overflows."""
+    f(a) when values is None.  The upper value (f(a)+f(b))/2 is halved first
+    where f(a) + f(b) overflows."""
     fa = _at(fd.eval, iv.a)
     if values is None:
         return SandwichReport(lower=fa, middle=fa, upper=fa, ordered=True), 0.0
@@ -259,8 +259,7 @@ def _report(
     fd: FunctionDescriptor, iv: Interval, q: float, tol: float, grid_points: int
 ) -> tuple[tuple | None, tuple[BoundReport, BoundReport, BoundReport]]:
     """The case values of _case_values (None on a degenerate iv) and the T2,
-    T3 and KO reports, T2's hypothesis at q = 2 and the others' at q.  Runs
-    under the caller's np.errstate(all="ignore").
+    T3 and KO reports, T2's hypothesis at q = 2 and the others' at q.
 
     The domain, tol and grid_points are checked first, before any evaluation.
     The endpoint derivatives and the case values are evaluated once, and the
@@ -316,8 +315,7 @@ def evaluate_case(
     The domain, tol and grid_points are checked before any evaluation, and
     an invalid q (not > 1) is reported only after the T2 report succeeds.
     """
-    with np.errstate(all="ignore"):
-        return _report(fd, iv, q, tol, grid_points)[1]
+    return _report(fd, iv, q, tol, grid_points)[1]
 
 
 def verify_case(
@@ -335,9 +333,8 @@ def verify_case(
     the sandwich's ordered.  On a degenerate interval the sandwich's three values
     are f(a), and it is ordered.
     """
-    with np.errstate(all="ignore"):
-        values, reports = _report(fd, iv, q, tol, grid_points)
-        sandwich, gap = _sandwich(fd, iv, values)
+    values, reports = _report(fd, iv, q, tol, grid_points)
+    sandwich, gap = _sandwich(fd, iv, values)
     convexity = TRIVIAL_HYPOTHESIS if iv.is_degenerate else check_convexity(fd.eval, iv, grid_points)
     hh = BoundReport(gap=gap, bound=ORDER_SLACK, ratio=gap / ORDER_SLACK, theorem="HH", q=None,
                      hypothesis=convexity, holds=sandwich.ordered)
@@ -388,8 +385,7 @@ def verify_identity(
     if iv.is_degenerate:
         raise ValueError("identity check requires a non-degenerate interval")
     a, b = iv.a, iv.b
-    with np.errstate(all="ignore"):
-        d1 = _case_values(fd, iv, tol)[2]
+    d1 = _case_values(fd, iv, tol)[2]
     graded_t = tuple((b - k) / (b - a) for k in _kinks_on(fd, a, b))
     kinks_t = tuple(t for t in graded_t if 0.0 < t < 1.0)
 

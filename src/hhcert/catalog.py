@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from ._ufunc import eval_elementwise
+from ._ufunc import eval_elementwise, pointwise
 from .errors import (
     DomainViolation,
     InvalidExponent,
@@ -35,6 +33,9 @@ from .errors import (
     UnknownFunction,
     range_error,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NO_VIOLATION = "no-violation-found"
 VIOLATED = "violated"
@@ -114,7 +115,15 @@ class Domain:
 class FunctionDescriptor:
     """A catalog function: identifier, parameters, evaluator, derivative, domain.
 
-    ``eval`` and ``deriv`` accept scalars or numpy arrays elementwise.
+    ``eval`` and ``deriv`` accept floats or numpy arrays elementwise.  A
+    catalog entry's are _ufunc.pointwise formulas.  They evaluate a float in
+    math, without loading numpy or warning, to the float numpy gives on it
+    (e^x to within an ulp): inf, nan or 0 where a value leaves the float
+    range, except that pow's x**n raises as a float power does (the range
+    error, or ZeroDivisionError at 0 for n < 0), and recip's f' raises the
+    range error where x*x underflows.  They evaluate an array by numpy.
+    bounds evaluates a hand-built descriptor's functions through numpy, on
+    floats as well.
     ``convex_deriv_powers`` declares that |f'|^q is convex on the whole
     domain for every q >= 1; without it check_hypothesis samples the secant
     inequality.  ``kinks`` are the points where f' is not smooth, which
@@ -355,8 +364,8 @@ def _make_pow(params: Sequence[float]) -> FunctionDescriptor:
     return FunctionDescriptor(
         id="pow",
         parameters=(float(n),),
-        eval=lambda x: x**n,
-        deriv=lambda x: n * x ** (n - 1),
+        eval=pointwise(lambda ops, x: x**n),
+        deriv=pointwise(lambda ops, x: n * x ** (n - 1)),
         domain=domain,
         # |f'|^q = |n|^q |x|^(q(n-1)): for n >= 2 a power >= 1 of |x|, for
         # n = 1 a constant, for n <= -1 a negative power of x > 0
@@ -374,8 +383,8 @@ def _make_abs_pow(params: Sequence[float]) -> FunctionDescriptor:
     return FunctionDescriptor(
         id="abs_pow",
         parameters=(r,),
-        eval=lambda x: np.abs(x) ** r,
-        deriv=lambda x: r * np.sign(x) * np.abs(x) ** (r - 1.0),
+        eval=pointwise(lambda ops, x: ops.power(ops.abs(x), r)),
+        deriv=pointwise(lambda ops, x: r * ops.sign(x) * ops.power(ops.abs(x), r - 1.0)),
         # |f'|^q = r^q |x|^(q(r-1)), a power >= 1 of |x| since r >= 2
         convex_deriv_powers=True,
         # for an even integer r, f' = r x^(r-1) is a polynomial, and grading
@@ -395,17 +404,21 @@ def _make_simple(fid: str, ev, dv, domain: Domain, gaps):
     return build
 
 _POSITIVE = Domain(lower=0.0)
+_EXP = pointwise(lambda ops, x: ops.exp(x))
+_RECIPROCAL = pointwise(lambda ops, x: ops.reciprocal(x))
 
 # Every entry declares |f'|^q convex for q >= 1, by the form of |f'|^q:
 _CATALOG: dict[str, Callable[[Sequence[float]], FunctionDescriptor]] = {
     "pow": _make_pow,  # see _make_pow
-    "exp": _make_simple("exp", np.exp, np.exp, Domain(), _exp_gaps),  # e^(qx)
+    "exp": _make_simple("exp", _EXP, _EXP, Domain(), _exp_gaps),  # e^(qx)
     "ln": _make_simple(  # x^(-q) on x > 0
-        "ln", np.log, lambda x: 1.0 / x, _POSITIVE, _ln_gaps),
+        "ln", pointwise(lambda ops, x: ops.log(x)), _RECIPROCAL, _POSITIVE, _ln_gaps),
     "recip": _make_simple(  # x^(-2q) on x > 0
-        "recip", lambda x: 1.0 / x, lambda x: -1.0 / (x * x), _POSITIVE, _recip_gaps),
+        "recip", _RECIPROCAL, pointwise(lambda ops, x: -ops.inverse_square(x)), _POSITIVE,
+        _recip_gaps),
     "neg_ln": _make_simple(  # x^(-q) on x > 0
-        "neg_ln", lambda x: -np.log(x), lambda x: -1.0 / x, _POSITIVE, _neg_ln_gaps),
+        "neg_ln", pointwise(lambda ops, x: -ops.log(x)),
+        pointwise(lambda ops, x: -ops.reciprocal(x)), _POSITIVE, _neg_ln_gaps),
     "abs_pow": _make_abs_pow,  # see _make_abs_pow
 }
 
@@ -462,6 +475,8 @@ def _not_finite(iv: Interval) -> DomainViolation:
 
 
 def _require_finite(values: np.ndarray, iv: Interval) -> None:
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise _not_finite(iv)
 
@@ -488,6 +503,8 @@ def check_convexity(
     full 7-slice scan.  grid_points is capped at MAX_GRID_POINTS.
     """
     _check_scan_args(iv, grid_points)
+    import numpy as np
+
     if math.isinf(iv.width):
         # the grid of the halved endpoints, doubled exactly: np.linspace
         # takes b - a, which overflows here
@@ -561,6 +578,7 @@ def check_hypothesis(
     if not (math.isfinite(q) and q >= 1.0):
         raise InvalidExponent(f"hypothesis exponent requires q >= 1, got q={q}")
     require_domain(fd, iv)
+    import numpy as np
 
     def power_of_deriv(x):
         return np.abs(fd.deriv(x)) ** q

@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidExponent, OutOfRange
 from .quadrature import QuadratureResult, integrate_2d
 
@@ -48,6 +46,8 @@ def kernel_m(t):
     The left branch is used at the break, so kernel_m(0.5) = 0.5.  Raises
     OutOfRange for arguments outside [0, 1].
     """
+    import numpy as np
+
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise OutOfRange(f"kernel argument outside [0, 1]: {t!r}")
@@ -122,6 +122,7 @@ def _moment_integrand(p: float):
     # 2 z^(2p+3) outgrows the degree 13 that the 7-point Gauss rule integrates
     # exactly and costs levels (p = 7.5: 0.53 -> 0.96 ms, p = 100.5: 1.8 -> 2.4 ms).
     graded = p != math.floor(p) and p < 4.0
+    import numpy as np
 
     def integrand(x, z):
         y = z * z if graded else z

@@ -19,40 +19,51 @@ node vector per axis, which the integrand broadcasts to the tensor nodes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._ufunc import eval_elementwise
 from .catalog import Interval
 from .errors import NonFiniteEvaluation, range_error
 
+if TYPE_CHECKING:
+    import numpy as np
+
 MAX_DEPTH = 60          # refinement levels before giving up
 _MAX_PANELS = 65536     # panels of a 1D level; a 2D level gets their 15x as many nodes
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 # 15-point Kronrod nodes on [-1, 1] and weights; the odd-index nodes form the
-# embedded 7-point Gauss rule.
-_XK = np.array([
+# embedded 7-point Gauss rule.  _rule() makes them arrays.
+_XK = (
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
     -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
     0.586087235467691, 0.741531185599394, 0.864864423359769,
     0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
+)
+_WK = (
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728, 0.204432940075298,
     0.190350578064785, 0.169004726639267, 0.140653259715525,
     0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
-])
+)
+
+
+@cache
+def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_XK, _WK and _WG as numpy arrays, built once, on first use."""
+    import numpy as np
+
+    return np.array(_XK), np.array(_WK), np.array(_WG)
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,8 @@ def _halves(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     one is bit for bit the plain formula's; halving first everywhere would
     round subnormal endpoints differently.
     """
+    import numpy as np
+
     centers, halfw = 0.5 * (lows + highs), 0.5 * (highs - lows)
     over = np.isinf(centers)
     if over.any():
@@ -112,7 +125,7 @@ def _accepted(err: np.ndarray, est: np.ndarray, budget: np.ndarray) -> np.ndarra
     rounding floor stops pointless splitting once the pair difference is at
     machine-noise scale for the panel.
     """
-    return (err <= budget) | (err <= 50.0 * _EPS * np.abs(est))
+    return (err <= budget) | (err <= 50.0 * _EPS * abs(est))
 
 
 def _first_non_finite(y: np.ndarray) -> int:
@@ -122,6 +135,8 @@ def _first_non_finite(y: np.ndarray) -> int:
     Every Kronrod weight is positive, so a non-finite value makes its panel's
     or box's error non-finite; with none, an estimate left the float range.
     """
+    import numpy as np
+
     finite = np.isfinite(y)
     if finite.all():
         raise range_error()
@@ -149,6 +164,9 @@ def integrate_1d(
     check_tol(tol)
     if iv.is_degenerate:
         return QuadratureResult(0.0, 0.0, 0, True)
+    import numpy as np
+
+    xk, wk, wg = _rule()
     edges = [iv.a, *_clean_breakpoints(breakpoints, iv.a, iv.b), iv.b]
     # a panel estimate or running sum past the float range is caught below
     # as a value, not as a numpy warning; eval_elementwise silences g's own
@@ -159,10 +177,10 @@ def integrate_1d(
         depth = 0
         while True:
             centers, halfw = _halves(lows, highs)
-            nodes = centers[:, None] + halfw[:, None] * _XK[None, :]
+            nodes = centers[:, None] + halfw[:, None] * xk[None, :]
             y = eval_elementwise(g, nodes)
-            ik = halfw * (y @ _WK)
-            ig = halfw * (y[:, 1::2] @ _WG)
+            ik = halfw * (y @ wk)
+            ig = halfw * (y[:, 1::2] @ wg)
             err = np.abs(ik - ig)
             if not np.isfinite(err).all():
                 x = float(nodes.flat[_first_non_finite(y)])
@@ -208,6 +226,8 @@ def graded_map(edges: Sequence[float], toward: Sequence[float]):
     maps a panel's other end to k + (end - k), which is that end unless the
     sum rounds.
     """
+    import numpy as np
+
     edges = sorted({float(e) for e in edges})
     marks = {float(k) for k in toward}
     starts, anchors, widths, graded = [], [], [], []
@@ -243,6 +263,8 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray, *rest: np.ndarray):
     The halves of a cut box are the kept row's lower half and an appended
     upper half.
     """
+    import numpy as np
+
     mid = 0.5 * (lo + hi)
     return (np.concatenate([lo, mid[cut]]), np.concatenate([np.where(cut, mid, hi), hi[cut]]),
             *(np.concatenate([r, r[cut]]) for r in rest))
@@ -292,6 +314,9 @@ def integrate_2d(
     as kernel.kernel_p_numeric does for the kernel's |m(t) - m(s)|^p.
     """
     check_tol(tol)
+    import numpy as np
+
+    xk, wk, wg = _rule()
     edges = np.array([0.0, *_clean_breakpoints(breakpoints, 0.0, 1.0), 1.0])
     # every t panel against every s panel
     panels = edges.size - 1
@@ -305,15 +330,15 @@ def integrate_2d(
             th, sh = 0.5 * (t_hi - t_lo), 0.5 * (s_hi - s_lo)
             # t varies along axis 1 and s along axis 2 of the (boxes, 15, 15)
             # tensor nodes, which g broadcasts from these two
-            t = (0.5 * (t_lo + t_hi)[:, None] + th[:, None] * _XK)[:, :, None]
-            s = (0.5 * (s_lo + s_hi)[:, None] + sh[:, None] * _XK)[:, None, :]
+            t = (0.5 * (t_lo + t_hi)[:, None] + th[:, None] * xk)[:, :, None]
+            s = (0.5 * (s_lo + s_hi)[:, None] + sh[:, None] * xk)[:, None, :]
             y = eval_elementwise(g, t, s)
             # Kronrod and Gauss sums over s, then each of them over t, times
             # the rule's Jacobian th * sh, a quarter of the box's area
             jac = th * sh
-            y_k, y_g = y @ _WK, y[:, :, 1::2] @ _WG
-            kk = jac * (y_k @ _WK)
-            err = np.abs(kk - jac * (y_g[:, 1::2] @ _WG))
+            y_k, y_g = y @ wk, y[:, :, 1::2] @ wg
+            kk = jac * (y_k @ wk)
+            err = np.abs(kk - jac * (y_g[:, 1::2] @ wg))
             if not np.isfinite(err).all():
                 i = _first_non_finite(y)
                 t, s = np.broadcast_arrays(t, s)
@@ -328,11 +353,11 @@ def integrate_2d(
             if not converged and rejected.any() and depth < MAX_DEPTH:
                 # the t and s differences: Gauss on one axis, Kronrod on the other
                 kk_r, jac_r = kk[rejected], jac[rejected]
-                d_t = np.abs(kk_r - jac_r * (y_k[rejected, 1::2] @ _WG))
-                d_s = np.abs(kk_r - jac_r * (y_g[rejected] @ _WK))
+                d_t = np.abs(kk_r - jac_r * (y_k[rejected, 1::2] @ wg))
+                d_s = np.abs(kk_r - jac_r * (y_g[rejected] @ wk))
                 cut_t, cut_s = ~(d_s > 4.0 * d_t), ~(d_t > 4.0 * d_s)
                 # the next level's boxes have 15 * 15 nodes each, of _MAX_PANELS * 15
-                if np.sum((1 + cut_t) * (1 + cut_s)) * _XK.size <= _MAX_PANELS:
+                if np.sum((1 + cut_t) * (1 + cut_s)) * len(_XK) <= _MAX_PANELS:
                     t_lo, t_hi, s_lo, s_hi, cut_s = _bisect(
                         t_lo[rejected], t_hi[rejected], cut_t, s_lo[rejected], s_hi[rejected],
                         cut_s)

@@ -1,9 +1,13 @@
 """Gap evaluation, the three endpoint-derivative bounds, and the identities."""
 
 import dataclasses
+import errno
 import math
+import os
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,13 @@ from hhcert.bounds import (
     verify_case,
     verify_identity,
 )
-from hhcert.catalog import VIOLATED, Interval, check_convexity, parse_function_id
+from hhcert.catalog import (
+    VIOLATED,
+    FunctionDescriptor,
+    Interval,
+    check_convexity,
+    parse_function_id,
+)
 from hhcert.errors import DomainViolation, InvalidExponent, NonFiniteEvaluation
 from hhcert.kernel import kernel_p_norm
 
@@ -578,3 +588,27 @@ class TestIdentities:
         # checked before the degenerate check and before any evaluation
         with pytest.raises(DomainViolation, match=f"not inside the domain of {label}"):
             verify_identity(lemma, parse_function_id(label), Interval(a, b))
+
+
+# A descriptor built from numpy functions, with no declared gaps or hypothesis:
+# its f and f' overflow past x = 709.78.
+_NUMPY_EXP = FunctionDescriptor(id="np_exp", parameters=(), eval=np.exp, deriv=np.exp)
+
+
+class TestHandBuiltNumpyDescriptor:
+    """numpy's warnings from a hand-built descriptor's functions stay silenced,
+    now that a case runs under no np.errstate of its own: where f leaves the
+    float range, the error is the one the case raised under np.errstate."""
+
+    @pytest.mark.parametrize("case", (evaluate_case, verify_case))
+    @pytest.mark.parametrize("iv,error,message", [
+        (Interval(700.0, 710.0), NonFiniteEvaluation, "integrand not finite at x=709.8727697808569"),
+        (Interval(709.0, 709.9), NonFiniteEvaluation, "integrand not finite at x=709.8068696279802"),
+        (Interval(709.0, 709.5), OverflowError, str((errno.ERANGE, os.strerror(errno.ERANGE)))),
+    ])
+    def test_an_overflowing_f_raises_its_error_not_a_warning(self, case, iv, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                case(_NUMPY_EXP, iv, 2.0, grid_points=9)
+        assert str(err.value) == message

@@ -1,7 +1,11 @@
 """Catalog descriptors, the id grammar, and the sampled convexity check."""
 
+import errno
 import math
+import os
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -499,3 +503,89 @@ class TestOptionValidators:
         assert sampling_range(-5.0, 5.0, Domain()) == (-5.0, 5.0)
         with pytest.raises(ValueError, match="empty sampling range"):
             sampling_range(-5.0, -1.0, Domain(lower=0.0))
+
+
+# The numpy formulas of the catalog's f and f', as each descriptor evaluated
+# them on a float before it had a float path: the array path's formulas.
+def _numpy_formulas(fid: str):
+    name, _, param = fid.partition(":")
+    if name == "pow":
+        n = int(param)
+        return (lambda x: x**n), (lambda x: n * x ** (n - 1))
+    if name == "abs_pow":
+        r = float(param)
+        return (lambda x: np.abs(x) ** r), (lambda x: r * np.sign(x) * np.abs(x) ** (r - 1.0))
+    return {
+        "exp": (np.exp, np.exp),
+        "ln": (np.log, lambda x: 1.0 / x),
+        "recip": (lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
+        "neg_ln": (lambda x: -np.log(x), lambda x: -1.0 / x),
+    }[name]
+
+
+_PATH_FUNCTIONS = ("exp", "ln", "neg_ln", "recip", "pow:1", "pow:2", "pow:3", "pow:7", "pow:-1",
+                   "pow:-2", "pow:-3", "abs_pow:2", "abs_pow:2.5", "abs_pow:3", "abs_pow:7")
+_TINY, _MAX = 5e-324, 1.7976931348623157e308
+_PATH_POINTS = (
+    0.0, -0.0,  # abs_pow's kink, and the edge of the positive domain
+    _TINY, -_TINY, 1e-310, -1e-310, 2.2250738585072014e-308,  # subnormals, smallest normal
+    1e-300, 1e-200, -1e-200, 1e-160, 1.5e-154,  # x*x underflows, or 1/x^2 overflows
+    709.78, 709.79, 710.0, 1e3, -745.1, -745.2, -746.0, -1e3,  # e^x overflows, underflows
+    1.3e154, 1e200, 1e300, _MAX, -_MAX, -1.3e154,  # x^n and x*x overflow
+    math.inf, -math.inf, math.nan,  # the edges of the whole line
+    0.5, 1.0, -1.0, -2.5, 3.7, 1e-3, 42.0,
+)
+_ERANGE = (errno.ERANGE, os.strerror(errno.ERANGE))
+
+
+def _random_points(n: int = 400) -> list[float]:
+    rng = random.Random(2024)
+    points = [rng.uniform(-700.0, 700.0) for _ in range(n)]
+    return points + [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(n)]
+
+
+def _same(got: float, want: float) -> bool:
+    """Equal bit for bit, every nan counting as one value."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _nearer_exp(got: float, want: float, x: float) -> bool:
+    """got is within an ulp of want and nearer e^x than want, to 50 digits."""
+    with mpmath.workdps(50):
+        exact = mpmath.exp(mpmath.mpf(x))
+        return (abs(got - want) <= math.ulp(want)
+                and abs(mpmath.mpf(got) - exact) < abs(mpmath.mpf(want) - exact))
+
+
+@pytest.mark.parametrize("fid", _PATH_FUNCTIONS)
+@pytest.mark.parametrize("which", ("eval", "deriv"))
+def test_the_float_path_gives_the_array_paths_value(fid, which):
+    """On a float, f and f' give a float: what numpy's formula gives on it,
+    inf, nan and 0 included, without a warning or an error.  e^x may differ
+    in its last bit, where math.exp is the nearer of the two to e^x.  A float
+    power (pow's x**n) raises as Python's does: the range error where a finite
+    power leaves the float range, ZeroDivisionError at 0 for n < 0; recip's f'
+    raises the range error where a nonzero x*x underflows, as x**-2 does."""
+    fd = parse_function_id(fid)
+    g = getattr(fd, which)
+    formula = _numpy_formulas(fid)[which == "deriv"]
+    points = [*_PATH_POINTS, *_random_points()]
+    with np.errstate(all="ignore"):
+        # the array path is the formula's, bit for bit
+        assert all(map(_same, g(np.array(points)), formula(np.array(points))))
+        wants = [float(formula(np.float64(x))) for x in points]
+    for x, want in zip(points, wants):
+        try:
+            got = g(x)
+        except OverflowError as err:
+            assert fid.startswith("pow:") or (fid, which) == ("recip", "deriv"), x
+            assert err.args == _ERANGE and math.isinf(want) and 0.0 < abs(x) < math.inf, x
+            continue
+        except ZeroDivisionError:
+            assert fid.startswith("pow:-") and x == 0.0, x
+            continue
+        assert type(got) is float, x
+        assert _same(got, want) or (fid == "exp" and _nearer_exp(got, want, x)), (x, got, want)
+

@@ -5,6 +5,7 @@ import decimal
 import inspect
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -726,6 +727,40 @@ print(" ".join(sorted(added - {{"hhcert", "numpy"}} - set(sys.stdlib_module_name
 """
 
 
+# numpy is imported where an array is built, and nowhere else.  In a fresh
+# interpreter, import hhcert loads every layer the benchmark tracer wraps but
+# cli, which the tracer's process imports itself, and no numpy; neither do
+# the CLI and its parser, nor then each (argv, exit code) of runs, where
+# numpy_loaded says whether numpy is loaded after each run.
+_NUMPY_PROBE = """
+import contextlib, importlib.util, io, sys
+spec = importlib.util.spec_from_file_location("spans", {spans!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+def missing():
+    return [layer for layer in spans.LAYERS if "hhcert." + layer not in sys.modules]
+import hhcert
+assert "numpy" not in sys.modules, "import hhcert"
+assert missing() == ["cli"], missing()
+import hhcert.cli as cli
+cli.build_parser()
+assert "numpy" not in sys.modules, "build_parser"
+assert missing() == [], missing()
+for argv, code in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+    assert ("numpy" in sys.modules) == {numpy_loaded!r}, argv
+"""
+_SPANS = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+
+
+def _probe(source: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_runtime_imports_only_numpy_and_the_standard_library():
     argvs = [
         ["verify", "--fn", "exp", "--interval", "0", "1", "--grid-points", "9"],
@@ -735,14 +770,28 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
         ["kernel", "--p", "2"],
         ["means", "--a", "1", "--b", "2"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUNTIME_PROBE.format(argvs=argvs)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    assert _probe(_RUNTIME_PROBE.format(argvs=argvs)) == "\n"
+
+    # the converse: sweep, means and an exit 2 evaluate floats only, and load no numpy
+    functions = ["exp", "ln", "neg_ln", "recip", "pow:3", "pow:-2", "abs_pow:2.5"]
+    assert {fn.partition(":")[0] for fn in functions} == set(catalog._CATALOG)
+    runs = [(["sweep", "--fn", fn, "--cases", "3", "--format", fmt], 0)
+            for fn in functions for fmt in ("text", "json", "csv")]
+    runs += [(["means", "--a", "1", "--b", "2"], 0),
+             (["means", "--a", "0.5", "--b", "4", "--p", "1.5"], 0),
+             (["sweep", "--fn", "nosuch"], 2)]
+    _probe(_NUMPY_PROBE.format(spans=_SPANS, runs=runs, numpy_loaded=False))
+    # verify's scan of f, identity's integrals and kernel's cubature build arrays
+    for argv in argvs[0], argvs[3], argvs[4]:
+        _probe(_NUMPY_PROBE.format(spans=_SPANS, runs=[(argv, 0)], numpy_loaded=True))
+
+
+def _formula(g):
+    """The code of the formula of a catalog f or f' (a _ufunc.pointwise
+    function, rebuilt per parse); any other g itself."""
+    if getattr(g, "float_path", False):
+        return inspect.getclosurevars(g).nonlocals["formula"].__code__
+    return g
 
 
 def test_sweep_scans_nothing_and_verify_scans_only_f(monkeypatch, capsys):
@@ -759,7 +808,7 @@ def test_sweep_scans_nothing_and_verify_scans_only_f(monkeypatch, capsys):
     assert cli.main(["sweep", "--fn", "pow:3", "--cases", "5", "--q", "3"]) == 0
     assert scanned == []
     assert cli.main(["verify", "--fn", "pow:3", "--interval", "0", "2", "--q", "3"]) == 0
-    assert len(scanned) == 1 and scanned[0].__code__ is fd_eval.__code__
+    assert len(scanned) == 1 and _formula(scanned[0]) is _formula(fd_eval)
 
 
 @pytest.mark.parametrize(
@@ -791,15 +840,14 @@ def test_one_integral_of_f_per_case(monkeypatch, capsys, argv, cases):
 
     monkeypatch.setattr(cli, "parse_function_id", hand_built)
     assert cli.main(argv + ["--grid-points", "9"]) == 0
-    # f itself: a catalog lambda is rebuilt per parse, so compare its code;
+    # f itself: a catalog formula is rebuilt per parse, so compare its code;
     # over panels graded toward a kink, f through the graded map
     fd_eval = catalog.parse_function_id(argv[2]).eval
     assert len(integrands) == cases
     integrands = [inspect.getclosurevars(g).nonlocals["g"]
                   if getattr(g, "__qualname__", "") == "_graded.<locals>.mapped" else g
                   for g in integrands]
-    assert all(getattr(g, "__code__", g) is getattr(fd_eval, "__code__", fd_eval)
-               for g in integrands)
+    assert all(_formula(g) is _formula(fd_eval) for g in integrands)
 
 
 # T2/T3/KO hypotheses that the sampled scan flagged as violated on rounding

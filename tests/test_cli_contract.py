@@ -37,6 +37,7 @@ import io
 import math
 from decimal import Decimal
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -215,3 +216,30 @@ def test_sweep_refutes_no_catalog_theorem(fn, cases, seed, q, tol, grid, data):
             "--interval-range", lo, hi, "--q", q, "--tol", tol, "--grid-points", grid,
             "--format", "csv"]
     assert _check_contract(argv) != 1, argv
+
+
+# Range errors keep one message each.  recip's f' at x = 1e-200 is -1/x^2,
+# whose x*x underflows to 0: the same range error as pow:-1's x**-2, the same
+# function.  exp's float path gives inf past x = 709.78, as numpy's does, so
+# the integral of f still names the node where f left the float range, and
+# the declared hypothesis its |f'|^2.
+_RANGE_MESSAGES = [
+    (["verify", "--fn", "recip", "--interval", "1e-200", "1e-199"],
+     "error: (34, 'Numerical result out of range')"),
+    (["verify", "--fn", "pow:-1", "--interval", "1e-200", "1e-199"],
+     "error: (34, 'Numerical result out of range')"),
+    (["verify", "--fn", "exp", "--interval", "700", "710"],
+     "error: integrand not finite at x=709.8727697808569"),
+    (["verify", "--fn", "exp", "--interval", "709", "709.5"],
+     "error: function not finite everywhere on [709.0, 709.5]"),
+    (["sweep", "--fn", "exp", "--interval-range", "700", "720", "--cases", "3"],
+     "error: integrand not finite at x=709.9727046798608"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _RANGE_MESSAGES, ids=[" ".join(a) for a, _ in _RANGE_MESSAGES])
+def test_range_errors_print_one_message(argv, err):
+    out, captured = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(captured):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), captured.getvalue()) == (2, "", err + "\n")

@@ -133,7 +133,7 @@ def test_bad_tol_rejected(tol):
 
 
 _ERANGE = (errno.ERANGE, os.strerror(errno.ERANGE))
-_XK = quadrature._XK  # the nodes of the one panel [-1, 1]; odd indices are Gauss nodes
+_XK = np.array(quadrature._XK)  # the nodes of the one panel [-1, 1]; odd indices are Gauss nodes
 
 
 @pytest.mark.parametrize(
